@@ -5,8 +5,8 @@ Three independent formulations of the same quantity G(m, n, k) are
 implemented and cross-checked for exact rational equality:
 
 * :func:`moment_gamma_sum` -- the factorial-ratio sum over i = 0 .. n-1
-  with the sign carried by a literal product of (possibly negative)
-  integer factors;
+  (its terms below i = n - k vanish and are skipped) with the sign
+  carried by a literal product of (possibly negative) integer factors;
 * :func:`moment_falling_sum` -- the simplified alternating sum over
   j = 0 .. k-1 in terms of falling factorials (n+j)(n+j-1)...(n+j-k+1);
 * :func:`moment_stirling_beta` -- the Stirling-number form built from the
@@ -81,19 +81,17 @@ def moment_gamma_sum(q: MomentQuery) -> MomentValue:
     """Factorial-ratio form of n^(mk+1) G(m, n, k).
 
     Evaluates sum_{i=0}^{n-1} (-1)^(1+i) prod_{j=0}^{n-1} (j-k-i)
-    / (i! (n-1-i)! k) * ((k+i)!/i!)^m term by term. The inner product is
-    taken literally over integers, so its sign comes out of the arithmetic
-    rather than a separate parity argument; terms with k + i <= n - 1
-    contain a zero factor and vanish, which restricts the sum to
-    i >= n - k automatically.
+    / (i! (n-1-i)! k) * ((k+i)!/i!)^m term by term. Terms with
+    i < n - k contain the zero factor j = k + i and vanish, so the loop
+    starts at i = n - k: k terms of O(n) integer products each. The inner
+    product is still taken literally over integers, so its sign comes out
+    of the arithmetic rather than a separate parity argument.
     """
     _require_k_le_n(q, "moment_gamma_sum")
     m, n, k = q.m, q.n, q.k
     total = Fraction(0)
-    for i in range(n):
+    for i in range(n - k, n):
         signed_product = prod(j - k - i for j in range(n))
-        if signed_product == 0:
-            continue
         numerator = (-1) ** (1 + i) * signed_product * falling_factorial(k + i, k) ** m
         total += Fraction(numerator, factorial(i) * factorial(n - 1 - i) * k)
     return _as_moment_value(total, q)

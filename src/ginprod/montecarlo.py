@@ -17,14 +17,21 @@ field, r)))``. Results are therefore a pure function of (spec, config)
 and in particular independent of how replicates are scheduled across
 workers. Bit-exactness is promised for repeated runs of this package on
 one platform, not across unrelated implementations of the same contract.
+
+Replicates are sampled in bounded batches: each replicate's draws come
+from its own stream, and the batch shares one stacked matmul per factor,
+one stacked SVD and one vectorised consistency check. Every operation
+acts on each replicate's slice exactly as it would on that replicate
+alone, so neither the batch size nor the worker count changes a bit.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -56,7 +63,17 @@ WORKERS_ENV_VAR = "GINPROD_WORKERS"
 #: check applied to every sample.
 SVD_CONSISTENCY_RTOL = 1e-8
 
+#: Most bytes of Gaussian draws one batch of replicates holds at once. A
+#: replicate whose draws alone exceed it is sampled in a batch of one.
+BATCH_DRAW_BYTES = 1 << 20
+
 _FIELD_CODES = {"real": 0, "complex": 1}
+
+
+def _require_int(name: str, value: object) -> None:
+    # bool is an int subclass; a flag passed as a size is a caller bug.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
 def default_workers() -> int:
@@ -79,6 +96,8 @@ class GinibreSpec:
     field: str = "real"
 
     def __post_init__(self) -> None:
+        _require_int("n", self.n)
+        _require_int("m", self.m)
         if self.n < 1 or self.m < 1:
             raise ValueError(f"n and m must be >= 1, got n = {self.n}, m = {self.m}")
         if self.field not in _FIELD_CODES:
@@ -97,6 +116,8 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("replicates", "master_seed", "workers"):
+            _require_int(name, getattr(self, name))
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if not 0 <= self.master_seed < 2**64:
@@ -171,25 +192,80 @@ def replicate_rng(spec: GinibreSpec, master_seed: int, replicate: int) -> np.ran
     return np.random.default_rng(ss)
 
 
+def _draw_shape(spec: GinibreSpec) -> tuple[int, int, int, int]:
+    """Shape (m, parts, n, n) of one product's standard normals; parts is 1
+    for real and 2 for complex entries."""
+    return (spec.m, 1 if spec.field == "real" else 2, spec.n, spec.n)
+
+
+def _draws(spec: GinibreSpec, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Standard normals for one product per generator, shape (b, m, parts, n, n).
+
+    One fill per generator consumes its stream factor by factor, each
+    factor's real part before its imaginary part.
+    """
+    draws = np.empty((len(rngs), *_draw_shape(spec)))
+    for i, rng in enumerate(rngs):
+        rng.standard_normal(out=draws[i])
+    return draws
+
+
+def _factor(spec: GinibreSpec, draws: np.ndarray, j: int) -> np.ndarray:
+    """Factor j of every product in ``draws``, shape (b, n, n), with the stated entry law."""
+    n = spec.n
+    if spec.field == "real":
+        return draws[:, j, 0] / np.sqrt(n)
+    return (draws[:, j, 0] + 1j * draws[:, j, 1]) / np.sqrt(2 * n)
+
+
 def draw_factors(spec: GinibreSpec, rng: np.random.Generator) -> list[np.ndarray]:
     """Draw the m independent n x n factors with the stated entry law."""
-    n = spec.n
-    factors = []
-    for _ in range(spec.m):
-        if spec.field == "real":
-            w = rng.standard_normal((n, n)) / np.sqrt(n)
-        else:
-            w = (
-                rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            ) / np.sqrt(2 * n)
-        factors.append(w)
-    return factors
+    draws = _draws(spec, [rng])
+    return [_factor(spec, draws, j)[0] for j in range(spec.m)]
 
 
 def _as_rng(replicate_seed) -> np.random.Generator:
     if isinstance(replicate_seed, np.random.Generator):
         return replicate_seed
     return np.random.default_rng(replicate_seed)
+
+
+def _sample_batch(
+    spec: GinibreSpec, rngs: Sequence[np.random.Generator], first: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Squared singular values, shape (b, n), and ||W||_F^2, shape (b,).
+
+    Row i is replicate ``first + i``, drawn from ``rngs[i]``. Factors are
+    built one at a time and the draws are freed before the decomposition,
+    so a batch never holds all factors next to the raw draws. Errors name
+    the failing replicate.
+    """
+    draws = _draws(spec, rngs)
+    product = _factor(spec, draws, 0)
+    for j in range(1, spec.m):
+        product = product @ _factor(spec, draws, j)
+    del draws
+    try:
+        singular = np.linalg.svd(product, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(
+            f"SVD failed for spec {spec} in replicates {first}..{first + len(rngs) - 1}: {exc}"
+        ) from exc
+    squared = singular**2
+    frob = np.sum(np.abs(product) ** 2, axis=(1, 2))
+    nonfinite = ~np.isfinite(squared).all(axis=1)
+    if nonfinite.any():
+        i = int(np.argmax(nonfinite))
+        raise ArithmeticError(f"non-finite singular values for spec {spec} at replicate {first + i}")
+    sums = np.sum(squared, axis=1)
+    inconsistent = np.abs(sums - frob) > SVD_CONSISTENCY_RTOL * frob
+    if inconsistent.any():
+        i = int(np.argmax(inconsistent))
+        raise ArithmeticError(
+            f"SVD inconsistent with Frobenius norm for spec {spec} at replicate {first + i}: "
+            f"sum s_i^2 = {sums[i]!r}, ||W||_F^2 = {frob[i]!r}"
+        )
+    return squared, frob
 
 
 def sample_product(spec: GinibreSpec, replicate_seed) -> SampleResult:
@@ -199,25 +275,8 @@ def sample_product(spec: GinibreSpec, replicate_seed) -> SampleResult:
     accepts. Linear-algebra failures raise; a non-finite spectrum raises
     rather than propagating NaN.
     """
-    rng = _as_rng(replicate_seed)
-    factors = draw_factors(spec, rng)
-    product = factors[0]
-    for w in factors[1:]:
-        product = product @ w
-    try:
-        singular = np.linalg.svd(product, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(f"SVD failed for spec {spec}: {exc}") from exc
-    squared = singular**2
-    frob = float(np.sum(np.abs(product) ** 2))
-    if not np.all(np.isfinite(squared)):
-        raise ArithmeticError(f"non-finite singular values for spec {spec}")
-    if abs(float(np.sum(squared)) - frob) > SVD_CONSISTENCY_RTOL * frob:
-        raise ArithmeticError(
-            f"SVD inconsistent with Frobenius norm for spec {spec}: "
-            f"sum s_i^2 = {np.sum(squared)!r}, ||W||_F^2 = {frob!r}"
-        )
-    return SampleResult(squared_singular_values=squared, frobenius_sq=frob)
+    squared, frob = _sample_batch(spec, [_as_rng(replicate_seed)], 0)
+    return SampleResult(squared_singular_values=squared[0], frobenius_sq=float(frob[0]))
 
 
 def power_largest_sq_singular_value(
@@ -256,23 +315,27 @@ def power_largest_sq_singular_value(
     )
 
 
-def _map_replicates(
-    spec: GinibreSpec, config: RunConfig, fn: Callable[[np.random.Generator], np.ndarray]
-) -> list[np.ndarray]:
-    """Run fn once per replicate, each on its own generator, ordered by index.
+def _map(workers: int, fn: Callable, items: Iterable) -> list:
+    """fn over items in order, on ``workers`` threads when more than one."""
+    if workers == 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
-    Worker threads only affect scheduling: the result list is indexed by
-    replicate, and every replicate's generator is derived independently.
+
+def _batches(spec: GinibreSpec, config: RunConfig) -> list[range]:
+    """Consecutive replicate ranges, each within BATCH_DRAW_BYTES of draws.
+
+    A batch also holds at most ceil(replicates / workers) replicates, so
+    every worker gets a share.
     """
-
-    def run_one(r: int) -> np.ndarray:
-        return fn(replicate_rng(spec, config.master_seed, r))
-
-    indices = range(config.replicates)
-    if config.workers == 1:
-        return [run_one(r) for r in indices]
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(run_one, indices))
+    draw_bytes = math.prod(_draw_shape(spec)) * np.dtype(np.float64).itemsize
+    per_worker = -(-config.replicates // config.workers)
+    size = max(1, min(BATCH_DRAW_BYTES // draw_bytes, per_worker))
+    return [
+        range(start, min(start + size, config.replicates))
+        for start in range(0, config.replicates, size)
+    ]
 
 
 def collect_spectra(spec: GinibreSpec, config: RunConfig) -> np.ndarray:
@@ -280,12 +343,16 @@ def collect_spectra(spec: GinibreSpec, config: RunConfig) -> np.ndarray:
 
     Row r holds replicate r's spectrum in descending order, so a single
     collection feeds both the moment and edge summaries without redrawing.
+    Worker threads take whole batches; each writes only its own rows.
     """
+    spectra = np.empty((config.replicates, spec.n))
 
-    def one(rng: np.random.Generator) -> np.ndarray:
-        return sample_product(spec, rng).squared_singular_values
+    def run(batch: range) -> None:
+        rngs = [replicate_rng(spec, config.master_seed, r) for r in batch]
+        spectra[batch.start : batch.stop] = _sample_batch(spec, rngs, batch.start)[0]
 
-    return np.vstack(_map_replicates(spec, config, one))
+    _map(config.workers, run, _batches(spec, config))
+    return spectra
 
 
 def moments_from_spectra(spec: GinibreSpec, spectra: np.ndarray, k_max: int) -> EmpiricalMoments:
@@ -347,14 +414,15 @@ def estimate_edge(spec: GinibreSpec, config: RunConfig, method: str = "dense") -
         values = collect_spectra(spec, config)[:, 0]
     elif method == "power":
 
-        def one(rng: np.random.Generator) -> np.ndarray:
+        def one(r: int) -> float:
+            rng = replicate_rng(spec, config.master_seed, r)
             factors = draw_factors(spec, rng)
             product = factors[0]
             for w in factors[1:]:
                 product = product @ w
-            return np.array([power_largest_sq_singular_value(product, rng)])
+            return power_largest_sq_singular_value(product, rng)
 
-        values = np.concatenate(_map_replicates(spec, config, one))
+        values = np.array(_map(config.workers, one, range(config.replicates)))
     else:
         raise ValueError(f"method must be 'dense' or 'power', got {method!r}")
     return edge_from_values(spec, values)

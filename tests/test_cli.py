@@ -8,10 +8,10 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 import ginprod.combinatorics
-import ginprod.montecarlo
 from ginprod.cli import main
 
 
@@ -217,10 +217,10 @@ class TestSimulateCommand:
         assert doc["replicates"] == 4
 
     def test_numerical_failure_exits_three(self, capsys, monkeypatch):
-        def broken(spec, seed):
-            raise ArithmeticError("synthetic decomposition failure")
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("synthetic decomposition failure")
 
-        monkeypatch.setattr(ginprod.montecarlo, "sample_product", broken)
+        monkeypatch.setattr(np.linalg, "svd", broken)
         code, _, err = run_cli(
             capsys, "simulate", "--m", "1", "--n", "4", "--replicates", "2", "--seed", "1"
         )

@@ -7,7 +7,7 @@ factors, 4 + 4/n^2 for three; at n = 1 the k-th moment collapses to
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm, prod
 
 import pytest
 
@@ -77,6 +77,24 @@ class TestFormulationAgreement:
                 for n in range(k, 9):
                     q = MomentQuery(m=m, n=n, k=k)
                     assert moment_gamma_sum(q).value == _gamma_sum_restricted(q).value
+
+    def test_gamma_sum_skips_only_vanishing_terms(self):
+        # moment_gamma_sum starts at i = n - k; every earlier term carries
+        # the zero factor j = k + i, so the full literal sum is unchanged.
+        for m in (1, 2, 3):
+            for n in range(1, 13):
+                for k in range(1, n + 1):
+                    full = Fraction(0)
+                    for i in range(n):
+                        signed_product = prod(j - k - i for j in range(n))
+                        if i < n - k:
+                            assert signed_product == 0, (n, k, i)
+                        full += Fraction(
+                            (-1) ** (1 + i) * signed_product * perm(k + i, k) ** m,
+                            factorial(i) * factorial(n - 1 - i) * k,
+                        )
+                    q = MomentQuery(m=m, n=n, k=k)
+                    assert moment_gamma_sum(q).scaled == full, (m, n, k)
 
     def test_scaled_and_value_are_consistent(self):
         q = MomentQuery(m=2, n=5, k=3)

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import ginprod.montecarlo
 from ginprod.moment_engine import MomentQuery, moment_falling_sum
 from ginprod.montecarlo import (
     GinibreSpec,
@@ -52,6 +53,19 @@ class TestSpecValidation:
             RunConfig(replicates=5, master_seed=2**64)
         with pytest.raises(ValueError):
             RunConfig(replicates=5, master_seed=1, workers=0)
+
+    def test_rejects_bools_and_non_ints(self):
+        for kwargs in ({"n": 2.5, "m": 1}, {"n": 4, "m": True}, {"n": "4", "m": 1}):
+            with pytest.raises(TypeError):
+                GinibreSpec(**kwargs)
+        for kwargs in (
+            {"replicates": 1.5, "master_seed": 1},
+            {"replicates": True, "master_seed": 1},
+            {"replicates": 5, "master_seed": 1.0},
+            {"replicates": 5, "master_seed": 1, "workers": 2.0},
+        ):
+            with pytest.raises(TypeError):
+                RunConfig(**kwargs)
 
     def test_default_workers_env(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
@@ -114,6 +128,66 @@ class TestSampleContract:
         monkeypatch.setattr(np.linalg, "svd", bad_svd)
         with pytest.raises(ArithmeticError):
             sample_product(spec, replicate_rng(spec, SEED, 0))
+
+
+def _draw_bytes(spec):
+    return spec.m * (1 if spec.field == "real" else 2) * spec.n**2 * 8
+
+
+class TestBatchKernel:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_batches_match_single_replicates(self, monkeypatch, field, m, workers):
+        # Three replicates per batch by bytes; 11 replicates leave a ragged
+        # last batch at every worker count.
+        spec = GinibreSpec(n=5, m=m, field=field)
+        monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", 3 * _draw_bytes(spec))
+        config = RunConfig(replicates=11, master_seed=SEED, workers=workers)
+        rows = [
+            sample_product(spec, replicate_rng(spec, SEED, r)).squared_singular_values
+            for r in range(config.replicates)
+        ]
+        assert np.array_equal(collect_spectra(spec, config), np.vstack(rows))
+
+    def test_draw_factors_are_the_multiplied_factors(self):
+        # Each factor consumes the stream in order: n x n real parts, then
+        # n x n imaginary parts for complex entries.
+        for field in ("real", "complex"):
+            spec = GinibreSpec(n=6, m=3, field=field)
+            factors = draw_factors(spec, replicate_rng(spec, SEED, 4))
+            rng = replicate_rng(spec, SEED, 4)
+            for w in factors:
+                if field == "real":
+                    want = rng.standard_normal((6, 6)) / np.sqrt(6)
+                else:
+                    want = (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))) / np.sqrt(12)
+                assert np.array_equal(w, want)
+            product = factors[0] @ factors[1] @ factors[2]
+            squared = np.linalg.svd(product, compute_uv=False) ** 2
+            sampled = sample_product(spec, replicate_rng(spec, SEED, 4))
+            assert np.array_equal(sampled.squared_singular_values, squared)
+
+    @pytest.mark.parametrize("scale, message", [(np.nan, "non-finite"), (1.01, "Frobenius")])
+    def test_bad_replicate_is_named(self, monkeypatch, scale, message):
+        # Spoil the second row of the second batch (of four replicates):
+        # the error must name replicate 5, not the row within its batch.
+        spec = GinibreSpec(n=3, m=2, field="complex")
+        monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", 4 * _draw_bytes(spec))
+        real_svd = np.linalg.svd
+        shapes = []
+
+        def svd(a, *args, **kwargs):
+            singular = real_svd(a, *args, **kwargs)
+            shapes.append(a.shape)
+            if len(shapes) == 2:
+                singular[1] *= scale
+            return singular
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        with pytest.raises(ArithmeticError, match=f"{message}.*replicate 5"):
+            collect_spectra(spec, RunConfig(replicates=10, master_seed=SEED))
+        assert shapes == [(4, 3, 3), (4, 3, 3)]
 
 
 class TestSeeding:
