@@ -46,11 +46,10 @@ from .montecarlo import (
     EmpiricalMoments,
     GinibreSpec,
     RunConfig,
-    SampleResult,
+    collect_spectra,
     convergence_table,
-    empirical_moments,
-    estimate_edge,
-    sample_product,
+    edge_from_values,
+    moments_from_spectra,
 )
 from .verify import VerifyReport, run_verify
 
@@ -96,13 +95,12 @@ __all__ = [
     # montecarlo
     "GinibreSpec",
     "RunConfig",
-    "SampleResult",
     "EmpiricalMoments",
     "EdgeEstimate",
     "ConvergenceRow",
-    "sample_product",
-    "empirical_moments",
-    "estimate_edge",
+    "collect_spectra",
+    "moments_from_spectra",
+    "edge_from_values",
     "convergence_table",
     # verify
     "VerifyReport",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import binomial
+from .combinatorics import _natural, binomial
 
 __all__ = ["BetaVector", "BetaBoundRow", "BetaBoundsReport", "compute_beta", "beta_bounds_check", "beta_ratio"]
 
@@ -50,10 +50,7 @@ class BetaBoundsReport:
 
 def _check_query(m: int, n: int, k: int) -> None:
     for name, value in (("m", m), ("n", n), ("k", k)):
-        if not isinstance(value, int):
-            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+        _natural(name, value, 1)
     if k > n:
         raise ValueError(
             f"k = {k} exceeds n = {n}: root magnitudes would leave [0, 1] and the "

@@ -13,7 +13,8 @@ Output contracts:
   header row; numeric columns use '.' decimals, no grouping; floats are
   written with 17 significant digits.
 - Exit status: 0 success, 1 check failure, 2 usage error, 3 numerical
-  failure.
+  failure, 4 internal error (any other exception, reported on one
+  stderr line instead of a traceback).
 """
 
 from __future__ import annotations
@@ -196,12 +197,17 @@ def _cmd_tailbound(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_config(args: argparse.Namespace) -> montecarlo.RunConfig:
+    """The Monte Carlo run options; workers from --workers, else the environment."""
+    workers = args.workers if args.workers is not None else montecarlo.default_workers()
+    return montecarlo.RunConfig(replicates=args.replicates, master_seed=args.seed, workers=workers)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = montecarlo.GinibreSpec(n=args.n, m=args.m, field=args.field)
-    workers = args.workers if args.workers is not None else montecarlo.default_workers()
-    config = montecarlo.RunConfig(replicates=args.replicates, master_seed=args.seed, workers=workers)
+    config = _run_config(args)
     spectra = montecarlo.collect_spectra(spec, config)
-    edge = montecarlo.edge_from_values(spec, spectra[:, 0])
+    edge = montecarlo.edge_from_values(spectra[:, 0])
     u = edge_analysis.edge_constant(args.m).u
     payload: dict = {
         "m": args.m,
@@ -219,7 +225,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         },
     }
     if args.kmax is not None and not args.edge_only:
-        moments = montecarlo.moments_from_spectra(spec, spectra, args.kmax)
+        moments = montecarlo.moments_from_spectra(spectra, args.kmax)
         payload["moments"] = [
             {"k": k, "mean": moments.mean(k), "standard_error": moments.standard_error(k)}
             for k in range(1, args.kmax + 1)
@@ -242,9 +248,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    workers = args.workers if args.workers is not None else montecarlo.default_workers()
-    config = montecarlo.RunConfig(replicates=args.replicates, master_seed=args.seed, workers=workers)
-    rows = montecarlo.convergence_table(args.m, args.n_grid, config, field=args.field)
+    rows = montecarlo.convergence_table(args.m, args.n_grid, _run_config(args), field=args.field)
     csv_rows = [
         [str(row.n), _fmt_float(row.mean_s1sq), _fmt_float(row.gap),
          _fmt_float(row.standard_error), str(row.replicates)]
@@ -288,31 +292,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ginprod {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name: str, help_text: str, func) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+    # Option groups shared by several subcommands, as argparse parent parsers.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="write the report to this path instead of stdout")
+    mnk = argparse.ArgumentParser(add_help=False)
+    mnk.add_argument("--m", type=int, required=True, help="number of factors")
+    mnk.add_argument("--n", type=int, required=True, help="matrix size")
+    mnk.add_argument("--k", type=int, required=True, help="moment order")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--field", choices=("real", "complex"), default="real")
+    run.add_argument("--replicates", type=int, required=True)
+    run.add_argument("--seed", type=int, required=True, help="master seed (unsigned 64-bit)")
+    run.add_argument("--workers", type=int, default=None,
+                     help=f"worker threads (default: ${montecarlo.WORKERS_ENV_VAR} or 1)")
+
+    def add(name: str, help_text: str, func,
+            *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text, parents=[output, *parents])
         p.set_defaults(func=func)
-        p.add_argument("--output", help="write the report to this path instead of stdout")
         return p
 
     p = add("edge", "print the spectral-edge constant for m factors", _cmd_edge)
     p.add_argument("--m", type=int, required=True, help="number of factors")
 
-    p = add("moments", "exact finite-n spectral moments (JSON)", _cmd_moments)
-    p.add_argument("--m", type=int, required=True, help="number of factors")
-    p.add_argument("--n", type=int, required=True, help="matrix size")
-    p.add_argument("--k", type=int, required=True, help="moment order")
+    p = add("moments", "exact finite-n spectral moments (JSON)", _cmd_moments, mnk)
     p.add_argument("--all-formulas", action="store_true",
                    help="evaluate all three formulations and cross-check them")
 
-    p = add("beta", "edge-polynomial coefficients with two-sided bounds (CSV)", _cmd_beta)
-    p.add_argument("--m", type=int, required=True, help="number of factors")
-    p.add_argument("--n", type=int, required=True, help="matrix size")
-    p.add_argument("--k", type=int, required=True, help="moment order")
+    add("beta", "edge-polynomial coefficients with two-sided bounds (CSV)", _cmd_beta, mnk)
 
-    p = add("dominance", "term decay of the coefficient-weighted moment sum (CSV)", _cmd_dominance)
-    p.add_argument("--m", type=int, required=True, help="number of factors")
-    p.add_argument("--n", type=int, required=True, help="matrix size")
-    p.add_argument("--k", type=int, required=True, help="moment order")
+    add("dominance", "term decay of the coefficient-weighted moment sum (CSV)", _cmd_dominance, mnk)
 
     p = add("tailbound", "tail bound along the k_n = ceil(w log n) schedule (CSV)", _cmd_tailbound)
     p.add_argument("--m", type=int, required=True, help="number of factors")
@@ -323,28 +332,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-grid", type=_parse_grid, required=True,
                    help="comma-separated matrix sizes, e.g. 60,120,240,480")
 
-    p = add("simulate", "sample product spectra; JSON summary, optional CSVs", _cmd_simulate)
+    p = add("simulate", "sample product spectra; JSON summary, optional CSVs", _cmd_simulate, run)
     p.add_argument("--m", type=int, required=True, help="number of factors")
     p.add_argument("--n", type=int, required=True, help="matrix size")
-    p.add_argument("--field", choices=("real", "complex"), default="real")
-    p.add_argument("--replicates", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True, help="master seed (unsigned 64-bit)")
     p.add_argument("--kmax", type=int, default=None, help="also report empirical moments up to this order")
     p.add_argument("--edge-only", action="store_true", help="report only largest-value statistics")
-    p.add_argument("--workers", type=int, default=None,
-                   help=f"worker threads (default: ${montecarlo.WORKERS_ENV_VAR} or 1)")
     p.add_argument("--replicate-csv", default=None, help="write per-replicate s1_sq rows to this path")
     p.add_argument("--spectrum-dir", default=None, help="write one full-spectrum CSV per replicate here")
 
-    p = add("converge", "largest-value convergence table over an n-grid (CSV)", _cmd_converge)
+    p = add("converge", "largest-value convergence table over an n-grid (CSV)", _cmd_converge, run)
     p.add_argument("--m", type=int, required=True, help="number of factors")
     p.add_argument("--n-grid", type=_parse_grid, required=True,
                    help="comma-separated ascending matrix sizes, e.g. 64,128,256,512")
-    p.add_argument("--replicates", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True, help="master seed (unsigned 64-bit)")
-    p.add_argument("--field", choices=("real", "complex"), default="real")
-    p.add_argument("--workers", type=int, default=None,
-                   help=f"worker threads (default: ${montecarlo.WORKERS_ENV_VAR} or 1)")
 
     p = add("verify", "run the exact identity suites", _cmd_verify)
     p.add_argument("--profile", choices=verify_suites.PROFILES, default="quick")
@@ -367,6 +366,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"ginprod: error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # anything else is a bug or a resource limit, not a check failure
+        print(f"ginprod: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

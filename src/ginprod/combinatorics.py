@@ -22,11 +22,17 @@ __all__ = [
 ]
 
 
-def _natural(name: str, value: int) -> int:
-    if not isinstance(value, int):
+def _natural(name: str, value: int, minimum: int = 0) -> int:
+    """``value`` if it is an int >= ``minimum``; the package's one integer check.
+
+    Raises TypeError for anything but an exact ``int``: bool is an int
+    subclass, and a flag passed as a size or order is a caller bug.
+    Raises ValueError below ``minimum``.
+    """
+    if type(value) is not int:
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
 
 
@@ -92,8 +98,7 @@ def fuss_catalan(m: int, k: int) -> int:
     The division is always exact; a non-zero remainder signals an
     arithmetic bug and raises.
     """
-    if _natural("m", m) < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _natural("m", m, 1)
     _natural("k", k)
     q, rem = divmod(comb(m * k + k, k), m * k + 1)
     if rem:

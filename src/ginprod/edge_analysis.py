@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .beta_poly import compute_beta
-from .combinatorics import binomial, stirling2
+from .combinatorics import _natural, binomial, stirling2
 from .moment_engine import MomentQuery, moment_falling_sum
 
 __all__ = [
@@ -68,10 +68,7 @@ class EdgeConstant:
 
 def edge_constant(m: int) -> EdgeConstant:
     """u_m = (m+1)^(m+1) / m^m; equals 4 at m = 1."""
-    if not isinstance(m, int):
-        raise TypeError(f"m must be an int, got {type(m).__name__}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _natural("m", m, 1)
     return EdgeConstant(m=m, u=Fraction((m + 1) ** (m + 1), m**m))
 
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import prod
 
 from .beta_poly import compute_beta
-from .combinatorics import binomial, factorial, falling_factorial, fuss_catalan, stirling2
+from .combinatorics import _natural, binomial, factorial, falling_factorial, fuss_catalan, stirling2
 
 __all__ = [
     "MomentQuery",
@@ -53,10 +53,7 @@ class MomentQuery:
 
     def __post_init__(self) -> None:
         for name, value in (("m", self.m), ("n", self.n), ("k", self.k)):
-            if not isinstance(value, int):
-                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+            _natural(name, value, 1)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,11 @@
 """Sampling of Ginibre-product spectra and their empirical statistics.
 
+One sampler, :func:`collect_spectra`, returns every replicate's squared
+singular values. Pure summarisers turn those arrays into statistics:
+:func:`moments_from_spectra` (spectral moments) and
+:func:`edge_from_values` (the largest value). :func:`convergence_table`
+runs the two along an n-grid.
+
 Entry convention: every factor has i.i.d. mean-zero Gaussian entries with
 variance 1/n (standard deviation n^(-1/2)). In the complex case the real
 and imaginary parts are independent with variance 1/(2n) each. This is
@@ -16,7 +22,9 @@ Reproducibility contract: replicate r of a run draws from
 field, r)))``. Results are therefore a pure function of (spec, config)
 and in particular independent of how replicates are scheduled across
 workers. Bit-exactness is promised for repeated runs of this package on
-one platform, not across unrelated implementations of the same contract.
+one platform at one BLAS thread count (multithreaded BLAS may change the
+last bits of large complex products), not across unrelated
+implementations of the same contract.
 
 Replicates are sampled in bounded batches: each replicate's draws come
 from its own stream, and the batch shares one stacked matmul per factor,
@@ -31,28 +39,23 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .combinatorics import _natural
 from .edge_analysis import edge_constant
 
 __all__ = [
     "GinibreSpec",
     "RunConfig",
-    "SampleResult",
     "EmpiricalMoments",
     "EdgeEstimate",
     "ConvergenceRow",
     "replicate_rng",
-    "draw_factors",
-    "sample_product",
-    "power_largest_sq_singular_value",
     "collect_spectra",
     "moments_from_spectra",
     "edge_from_values",
-    "empirical_moments",
-    "estimate_edge",
     "convergence_table",
     "default_workers",
 ]
@@ -68,12 +71,6 @@ SVD_CONSISTENCY_RTOL = 1e-8
 BATCH_DRAW_BYTES = 1 << 20
 
 _FIELD_CODES = {"real": 0, "complex": 1}
-
-
-def _require_int(name: str, value: object) -> None:
-    # bool is an int subclass; a flag passed as a size is a caller bug.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
 def default_workers() -> int:
@@ -96,10 +93,8 @@ class GinibreSpec:
     field: str = "real"
 
     def __post_init__(self) -> None:
-        _require_int("n", self.n)
-        _require_int("m", self.m)
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"n and m must be >= 1, got n = {self.n}, m = {self.m}")
+        _natural("n", self.n, 1)
+        _natural("m", self.m, 1)
         if self.field not in _FIELD_CODES:
             raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
 
@@ -116,34 +111,16 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("replicates", "master_seed", "workers"):
-            _require_int(name, getattr(self, name))
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if not 0 <= self.master_seed < 2**64:
+        _natural("replicates", self.replicates, 1)
+        if _natural("master_seed", self.master_seed) >= 2**64:
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-
-
-@dataclass
-class SampleResult:
-    """Squared singular values of one sampled product, sorted descending."""
-
-    squared_singular_values: np.ndarray
-    frobenius_sq: float
-
-    @property
-    def s1_sq(self) -> float:
-        return float(self.squared_singular_values[0])
+        _natural("workers", self.workers, 1)
 
 
 @dataclass
 class EmpiricalMoments:
     """Replicate-averaged spectral moments (1/n) sum_i s_i^(2k), k = 1 .. k_max."""
 
-    spec: GinibreSpec
-    replicates: int
     means: np.ndarray
     standard_errors: np.ndarray
     per_replicate: np.ndarray  # shape (replicates, k_max), row r = replicate r
@@ -159,8 +136,6 @@ class EmpiricalMoments:
 class EdgeEstimate:
     """Summary statistics of the largest squared singular value."""
 
-    spec: GinibreSpec
-    replicates: int
     mean_s1sq: float
     q05: float
     q50: float
@@ -198,18 +173,6 @@ def _draw_shape(spec: GinibreSpec) -> tuple[int, int, int, int]:
     return (spec.m, 1 if spec.field == "real" else 2, spec.n, spec.n)
 
 
-def _draws(spec: GinibreSpec, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Standard normals for one product per generator, shape (b, m, parts, n, n).
-
-    One fill per generator consumes its stream factor by factor, each
-    factor's real part before its imaginary part.
-    """
-    draws = np.empty((len(rngs), *_draw_shape(spec)))
-    for i, rng in enumerate(rngs):
-        rng.standard_normal(out=draws[i])
-    return draws
-
-
 def _factor(spec: GinibreSpec, draws: np.ndarray, j: int) -> np.ndarray:
     """Factor j of every product in ``draws``, shape (b, n, n), with the stated entry law."""
     n = spec.n
@@ -218,29 +181,22 @@ def _factor(spec: GinibreSpec, draws: np.ndarray, j: int) -> np.ndarray:
     return (draws[:, j, 0] + 1j * draws[:, j, 1]) / np.sqrt(2 * n)
 
 
-def draw_factors(spec: GinibreSpec, rng: np.random.Generator) -> list[np.ndarray]:
-    """Draw the m independent n x n factors with the stated entry law."""
-    draws = _draws(spec, [rng])
-    return [_factor(spec, draws, j)[0] for j in range(spec.m)]
-
-
-def _as_rng(replicate_seed) -> np.random.Generator:
-    if isinstance(replicate_seed, np.random.Generator):
-        return replicate_seed
-    return np.random.default_rng(replicate_seed)
-
-
 def _sample_batch(
     spec: GinibreSpec, rngs: Sequence[np.random.Generator], first: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Squared singular values, shape (b, n), and ||W||_F^2, shape (b,).
+) -> np.ndarray:
+    """Squared singular values, shape (b, n), each row in descending order.
 
-    Row i is replicate ``first + i``, drawn from ``rngs[i]``. Factors are
-    built one at a time and the draws are freed before the decomposition,
-    so a batch never holds all factors next to the raw draws. Errors name
-    the failing replicate.
+    Row i is replicate ``first + i``, drawn from ``rngs[i]``. One fill per
+    generator consumes its stream factor by factor, each factor's real
+    part before its imaginary part. Factors are built one at a time and
+    the draws are freed before the decomposition, so a batch never holds
+    all factors next to the raw draws. A failed or non-finite
+    decomposition, or one whose sum of squares misses ||W||_F^2, raises
+    and names the failing replicate.
     """
-    draws = _draws(spec, rngs)
+    draws = np.empty((len(rngs), *_draw_shape(spec)))
+    for i, rng in enumerate(rngs):
+        rng.standard_normal(out=draws[i])
     product = _factor(spec, draws, 0)
     for j in range(1, spec.m):
         product = product @ _factor(spec, draws, j)
@@ -265,62 +221,7 @@ def _sample_batch(
             f"SVD inconsistent with Frobenius norm for spec {spec} at replicate {first + i}: "
             f"sum s_i^2 = {sums[i]!r}, ||W||_F^2 = {frob[i]!r}"
         )
-    return squared, frob
-
-
-def sample_product(spec: GinibreSpec, replicate_seed) -> SampleResult:
-    """Draw one product W_1 ... W_m and return all squared singular values.
-
-    ``replicate_seed`` is a numpy Generator or anything default_rng
-    accepts. Linear-algebra failures raise; a non-finite spectrum raises
-    rather than propagating NaN.
-    """
-    squared, frob = _sample_batch(spec, [_as_rng(replicate_seed)], 0)
-    return SampleResult(squared_singular_values=squared[0], frobenius_sq=float(frob[0]))
-
-
-def power_largest_sq_singular_value(
-    product: np.ndarray,
-    rng: np.random.Generator,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-) -> float:
-    """Largest squared singular value by power iteration on W* W.
-
-    Iterates v -> W* W v from a random start vector until the Rayleigh
-    quotient ||W v||^2 (for unit v) moves by less than ``tol`` in relative
-    terms. Raises if the iteration cap is hit first. Only the top value is
-    produced; intended for sizes where a full decomposition is wasteful.
-    """
-    n = product.shape[0]
-    if product.dtype.kind == "c":
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    else:
-        v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    rayleigh = 0.0
-    for _ in range(max_iter):
-        u = product @ v
-        new_rayleigh = float(np.real(np.vdot(u, u)))
-        w = product.conj().T @ u
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        if abs(new_rayleigh - rayleigh) <= tol * max(new_rayleigh, 1e-300):
-            return new_rayleigh
-        rayleigh = new_rayleigh
-    raise ArithmeticError(
-        f"power iteration did not converge within {max_iter} iterations"
-    )
-
-
-def _map(workers: int, fn: Callable, items: Iterable) -> list:
-    """fn over items in order, on ``workers`` threads when more than one."""
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return squared
 
 
 def _batches(spec: GinibreSpec, config: RunConfig) -> list[range]:
@@ -341,24 +242,31 @@ def _batches(spec: GinibreSpec, config: RunConfig) -> list[range]:
 def collect_spectra(spec: GinibreSpec, config: RunConfig) -> np.ndarray:
     """All squared singular values for every replicate, shape (replicates, n).
 
-    Row r holds replicate r's spectrum in descending order, so a single
-    collection feeds both the moment and edge summaries without redrawing.
-    Worker threads take whole batches; each writes only its own rows.
+    Row r holds replicate r's spectrum in descending order, drawn from
+    ``replicate_rng(spec, config.master_seed, r)``; column 0 holds the
+    largest values s_1^2. Linear-algebra failures and non-finite spectra
+    raise ArithmeticError rather than propagating NaN. Worker threads
+    take whole batches; each writes only its own rows.
     """
     spectra = np.empty((config.replicates, spec.n))
 
     def run(batch: range) -> None:
         rngs = [replicate_rng(spec, config.master_seed, r) for r in batch]
-        spectra[batch.start : batch.stop] = _sample_batch(spec, rngs, batch.start)[0]
+        spectra[batch.start : batch.stop] = _sample_batch(spec, rngs, batch.start)
 
-    _map(config.workers, run, _batches(spec, config))
+    batches = _batches(spec, config)
+    if config.workers == 1:
+        for batch in batches:
+            run(batch)
+    else:
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            list(pool.map(run, batches))  # list() re-raises a worker's exception
     return spectra
 
 
-def moments_from_spectra(spec: GinibreSpec, spectra: np.ndarray, k_max: int) -> EmpiricalMoments:
-    """Summarise an already-collected spectrum matrix into moments."""
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+def moments_from_spectra(spectra: np.ndarray, k_max: int) -> EmpiricalMoments:
+    """Moments (1/n) sum_i s_i^(2k), k = 1 .. k_max, of a (replicates, n) spectrum array."""
+    _natural("k_max", k_max, 1)
     replicates = spectra.shape[0]
     per_replicate = np.empty((replicates, k_max))
     powers = spectra.copy()
@@ -371,16 +279,14 @@ def moments_from_spectra(spec: GinibreSpec, spectra: np.ndarray, k_max: int) -> 
     else:
         ses = np.zeros(k_max)
     return EmpiricalMoments(
-        spec=spec,
-        replicates=replicates,
         means=means,
         standard_errors=ses,
         per_replicate=per_replicate,
     )
 
 
-def edge_from_values(spec: GinibreSpec, values: np.ndarray) -> EdgeEstimate:
-    """Summarise per-replicate largest squared singular values."""
+def edge_from_values(values: np.ndarray) -> EdgeEstimate:
+    """Summarise per-replicate largest squared singular values, e.g. ``spectra[:, 0]``."""
     replicates = values.shape[0]
     q05, q50, q95 = np.quantile(values, [0.05, 0.5, 0.95])
     if replicates > 1:
@@ -388,8 +294,6 @@ def edge_from_values(spec: GinibreSpec, values: np.ndarray) -> EdgeEstimate:
     else:
         se = 0.0
     return EdgeEstimate(
-        spec=spec,
-        replicates=replicates,
         mean_s1sq=float(values.mean()),
         q05=float(q05),
         q50=float(q50),
@@ -397,35 +301,6 @@ def edge_from_values(spec: GinibreSpec, values: np.ndarray) -> EdgeEstimate:
         standard_error=se,
         values=values,
     )
-
-
-def empirical_moments(spec: GinibreSpec, config: RunConfig, k_max: int) -> EmpiricalMoments:
-    """Replicate-averaged moments (1/n) sum_i s_i^(2k) for k = 1 .. k_max."""
-    return moments_from_spectra(spec, collect_spectra(spec, config), k_max)
-
-
-def estimate_edge(spec: GinibreSpec, config: RunConfig, method: str = "dense") -> EdgeEstimate:
-    """Summary statistics of s_1^2 over replicates.
-
-    ``method`` is "dense" (full SVD of the product) or "power" (top value
-    only, by power iteration started from the replicate's own stream).
-    """
-    if method == "dense":
-        values = collect_spectra(spec, config)[:, 0]
-    elif method == "power":
-
-        def one(r: int) -> float:
-            rng = replicate_rng(spec, config.master_seed, r)
-            factors = draw_factors(spec, rng)
-            product = factors[0]
-            for w in factors[1:]:
-                product = product @ w
-            return power_largest_sq_singular_value(product, rng)
-
-        values = np.array(_map(config.workers, one, range(config.replicates)))
-    else:
-        raise ValueError(f"method must be 'dense' or 'power', got {method!r}")
-    return edge_from_values(spec, values)
 
 
 def convergence_table(
@@ -446,7 +321,7 @@ def convergence_table(
     u = float(edge_constant(m).u)
     rows = []
     for n in n_grid:
-        est = estimate_edge(GinibreSpec(n=n, m=m, field=field), config)
+        est = edge_from_values(collect_spectra(GinibreSpec(n=n, m=m, field=field), config)[:, 0])
         rows.append(
             ConvergenceRow(
                 n=n,

@@ -30,7 +30,7 @@ from ginprod.montecarlo import (
     RunConfig,
     collect_spectra,
     convergence_table,
-    empirical_moments,
+    moments_from_spectra,
 )
 
 SEED = 20260825
@@ -162,7 +162,7 @@ def test_criterion_09_monte_carlo_moment_bridge():
     for m, n, k in [(1, 64, 1), (1, 64, 2), (2, 64, 1), (2, 32, 2)]:
         exact = float(moment_falling_sum(MomentQuery(m=m, n=n, k=k)).value)
         spec = GinibreSpec(n=n, m=m, field="complex")
-        moments = empirical_moments(spec, RunConfig(replicates=500, master_seed=SEED), k)
+        moments = moments_from_spectra(collect_spectra(spec, RunConfig(replicates=500, master_seed=SEED)), k)
         dev = abs(moments.mean(k) - exact)
         if dev > 3 * moments.standard_error(k):
             failures.append((m, n, k, dev, moments.standard_error(k)))

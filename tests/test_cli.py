@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import ginprod.combinatorics
+import ginprod.montecarlo
 from ginprod.cli import main
 
 
@@ -226,6 +227,18 @@ class TestSimulateCommand:
         )
         assert code == 3
         assert "numerical failure" in err
+
+    def test_internal_error_exits_four(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("synthetic allocation failure")
+
+        monkeypatch.setattr(ginprod.montecarlo, "collect_spectra", exhausted)
+        code, out, err = run_cli(
+            capsys, "simulate", "--m", "1", "--n", "4", "--replicates", "2", "--seed", "1"
+        )
+        assert code == 4
+        assert out == ""
+        assert err == "ginprod: internal error: MemoryError: synthetic allocation failure\n"
 
     def test_bad_seed_is_usage_error(self, capsys):
         code, _, _ = run_cli(

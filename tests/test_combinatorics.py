@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ginprod.beta_poly import compute_beta
 from ginprod.combinatorics import (
     binomial,
     factorial,
@@ -20,6 +21,9 @@ from ginprod.combinatorics import (
     stirling2,
     stirling2_alternating,
 )
+from ginprod.edge_analysis import edge_constant
+from ginprod.moment_engine import MomentQuery
+from ginprod.montecarlo import GinibreSpec, RunConfig
 
 
 def _partition_counts(n: int) -> dict[int, int]:
@@ -180,3 +184,21 @@ class TestFussCatalan:
             fuss_catalan(1, -1)
         with pytest.raises(TypeError):
             fuss_catalan(1, 2.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: binomial(True, 1),
+        lambda: compute_beta(True, 2, 1),
+        lambda: MomentQuery(m=True, n=3, k=2),
+        lambda: edge_constant(True),
+        lambda: GinibreSpec(n=4, m=True),
+        lambda: RunConfig(replicates=True, master_seed=1),
+    ],
+    ids=["binomial", "compute_beta", "MomentQuery", "edge_constant", "GinibreSpec", "RunConfig"],
+)
+def test_bool_is_rejected_at_every_entry_point(call):
+    # One integer check serves the whole package: a bool is never a size or order.
+    with pytest.raises(TypeError):
+        call()

@@ -20,17 +20,43 @@ from ginprod.montecarlo import (
     collect_spectra,
     convergence_table,
     default_workers,
-    draw_factors,
     edge_from_values,
-    empirical_moments,
-    estimate_edge,
     moments_from_spectra,
-    power_largest_sq_singular_value,
     replicate_rng,
-    sample_product,
 )
 
 SEED = 20260825
+
+
+def _reference_factors(spec, r):
+    """Replicate r's factors, drawn one n x n block at a time from its stream:
+    real part, then imaginary part for complex entries, entry variance 1/n."""
+    n = spec.n
+    rng = replicate_rng(spec, SEED, r)
+    factors = []
+    for _ in range(spec.m):
+        if spec.field == "real":
+            factors.append(rng.standard_normal((n, n)) / np.sqrt(n))
+        else:
+            factors.append((rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n))
+    return factors
+
+
+def _reference_product(spec, r):
+    factors = _reference_factors(spec, r)
+    product = factors[0]
+    for w in factors[1:]:
+        product = product @ w
+    return product
+
+
+def _reference_spectrum(spec, r):
+    """Replicate r's squared singular values, one product and one SVD at a time."""
+    return np.linalg.svd(_reference_product(spec, r), compute_uv=False) ** 2
+
+
+def _spectra(spec, replicates, workers=1):
+    return collect_spectra(spec, RunConfig(replicates=replicates, master_seed=SEED, workers=workers))
 
 
 class TestSpecValidation:
@@ -81,43 +107,31 @@ class TestSampleContract:
     def test_spectrum_shape_and_order(self):
         for field in ("real", "complex"):
             spec = GinibreSpec(n=9, m=2, field=field)
-            result = sample_product(spec, replicate_rng(spec, SEED, 0))
-            s = result.squared_singular_values
-            assert s.shape == (9,)
-            assert np.all(s > 0)
-            assert np.all(np.diff(s) <= 0)  # descending
-            assert result.s1_sq == s[0]
+            spectra = _spectra(spec, 2)
+            assert spectra.shape == (2, 9)
+            assert np.all(spectra > 0)
+            assert np.all(np.diff(spectra, axis=1) <= 0)  # each row descending
 
     def test_frobenius_consistency(self):
         spec = GinibreSpec(n=16, m=3, field="complex")
-        result = sample_product(spec, replicate_rng(spec, SEED, 1))
-        assert float(np.sum(result.squared_singular_values)) == pytest.approx(
-            result.frobenius_sq, rel=1e-10
-        )
+        frobenius_sq = float(np.sum(np.abs(_reference_product(spec, 1)) ** 2))
+        assert float(np.sum(_spectra(spec, 2)[1])) == pytest.approx(frobenius_sq, rel=1e-10)
 
     def test_entry_scale_convention(self):
-        # Entry variance 1/n in both fields, so E ||W||_F^2 = n.
+        # Entry variance 1/n in both fields, so E ||W||_F^2 = n; at one
+        # factor a row of the spectrum sums to ||W||_F^2.
         for field in ("real", "complex"):
             spec = GinibreSpec(n=64, m=1, field=field)
-            rng = replicate_rng(spec, SEED, 2)
-            w = draw_factors(spec, rng)[0]
-            assert float(np.sum(np.abs(w) ** 2)) == pytest.approx(64.0, rel=0.25)
+            assert float(np.sum(_spectra(spec, 3)[2])) == pytest.approx(64.0, rel=0.25)
 
     def test_scale_covariance(self):
         # Rescaling one factor by c rescales every squared singular value
-        # by c^2: redraw with the same seed and compare decompositions.
+        # by c^2: redraw the sampled factors and compare decompositions.
         spec = GinibreSpec(n=8, m=2, field="complex")
         c = 3.0
-
-        def spectrum(scale_first: float) -> np.ndarray:
-            factors = draw_factors(spec, replicate_rng(spec, SEED, 3))
-            factors[0] = scale_first * factors[0]
-            product = factors[0] @ factors[1]
-            return np.linalg.svd(product, compute_uv=False) ** 2
-
-        base = spectrum(1.0)
-        scaled = spectrum(c)
-        assert np.allclose(scaled, c**2 * base, rtol=1e-10)
+        factors = _reference_factors(spec, 3)
+        scaled = np.linalg.svd((c * factors[0]) @ factors[1], compute_uv=False) ** 2
+        assert np.allclose(scaled, c**2 * _spectra(spec, 4)[3], rtol=1e-10)
 
     def test_numerical_failure_is_explicit(self, monkeypatch):
         spec = GinibreSpec(n=4, m=1)
@@ -127,7 +141,7 @@ class TestSampleContract:
 
         monkeypatch.setattr(np.linalg, "svd", bad_svd)
         with pytest.raises(ArithmeticError):
-            sample_product(spec, replicate_rng(spec, SEED, 0))
+            _spectra(spec, 1)
 
 
 def _draw_bytes(spec):
@@ -143,30 +157,19 @@ class TestBatchKernel:
         # last batch at every worker count.
         spec = GinibreSpec(n=5, m=m, field=field)
         monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", 3 * _draw_bytes(spec))
-        config = RunConfig(replicates=11, master_seed=SEED, workers=workers)
-        rows = [
-            sample_product(spec, replicate_rng(spec, SEED, r)).squared_singular_values
-            for r in range(config.replicates)
-        ]
-        assert np.array_equal(collect_spectra(spec, config), np.vstack(rows))
+        rows = [_reference_spectrum(spec, r) for r in range(11)]
+        assert np.array_equal(_spectra(spec, 11, workers), np.vstack(rows))
 
     def test_draw_factors_are_the_multiplied_factors(self):
         # Each factor consumes the stream in order: n x n real parts, then
-        # n x n imaginary parts for complex entries.
+        # n x n imaginary parts for complex entries. The sampler's row is
+        # the SVD of exactly those factors multiplied left to right.
         for field in ("real", "complex"):
             spec = GinibreSpec(n=6, m=3, field=field)
-            factors = draw_factors(spec, replicate_rng(spec, SEED, 4))
-            rng = replicate_rng(spec, SEED, 4)
-            for w in factors:
-                if field == "real":
-                    want = rng.standard_normal((6, 6)) / np.sqrt(6)
-                else:
-                    want = (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))) / np.sqrt(12)
-                assert np.array_equal(w, want)
+            factors = _reference_factors(spec, 4)
             product = factors[0] @ factors[1] @ factors[2]
             squared = np.linalg.svd(product, compute_uv=False) ** 2
-            sampled = sample_product(spec, replicate_rng(spec, SEED, 4))
-            assert np.array_equal(sampled.squared_singular_values, squared)
+            assert np.array_equal(_spectra(spec, 5)[4], squared)
 
     @pytest.mark.parametrize("scale, message", [(np.nan, "non-finite"), (1.01, "Frobenius")])
     def test_bad_replicate_is_named(self, monkeypatch, scale, message):
@@ -192,23 +195,21 @@ class TestBatchKernel:
 
 class TestSeeding:
     def test_same_replicate_reproduces(self):
+        # Replicate 17 is the same in a run of 18 and in a run of 40.
         spec = GinibreSpec(n=6, m=2, field="real")
-        a = sample_product(spec, replicate_rng(spec, SEED, 17)).squared_singular_values
-        b = sample_product(spec, replicate_rng(spec, SEED, 17)).squared_singular_values
+        a = _spectra(spec, 18)[17]
+        b = _spectra(spec, 40)[17]
         assert np.array_equal(a, b)
+        assert np.array_equal(a, _reference_spectrum(spec, 17))
 
     def test_distinct_replicates_differ(self):
-        spec = GinibreSpec(n=6, m=2, field="real")
-        a = sample_product(spec, replicate_rng(spec, SEED, 0)).squared_singular_values
-        b = sample_product(spec, replicate_rng(spec, SEED, 1)).squared_singular_values
-        assert not np.array_equal(a, b)
+        spectra = _spectra(GinibreSpec(n=6, m=2, field="real"), 2)
+        assert not np.array_equal(spectra[0], spectra[1])
 
     def test_streams_keyed_by_spec(self):
-        a = sample_product(GinibreSpec(n=6, m=1), replicate_rng(GinibreSpec(n=6, m=1), SEED, 0))
-        b = sample_product(GinibreSpec(n=6, m=2), replicate_rng(GinibreSpec(n=6, m=2), SEED, 0))
-        assert not np.array_equal(
-            a.squared_singular_values, b.squared_singular_values[: 6]
-        )
+        a = _spectra(GinibreSpec(n=6, m=1), 1)[0]
+        b = _spectra(GinibreSpec(n=6, m=2), 1)[0]
+        assert not np.array_equal(a, b)
 
     def test_worker_count_never_changes_results(self):
         spec = GinibreSpec(n=12, m=2, field="complex")
@@ -223,7 +224,7 @@ class TestMoments:
         config = RunConfig(replicates=100_000, master_seed=SEED)
         wants = {"complex": [1.0, 2.0, 6.0], "real": [1.0, 3.0, 15.0]}
         for field, want in wants.items():
-            moments = empirical_moments(GinibreSpec(n=1, m=1, field=field), config, 3)
+            moments = moments_from_spectra(collect_spectra(GinibreSpec(n=1, m=1, field=field), config), 3)
             for k in (1, 2, 3):
                 dev = abs(moments.mean(k) - want[k - 1])
                 assert dev <= 3 * moments.standard_error(k), (field, k)
@@ -233,7 +234,7 @@ class TestMoments:
         # from the complex value 2 by many standard errors at n = 32.
         spec = GinibreSpec(n=32, m=1, field="real")
         config = RunConfig(replicates=2000, master_seed=SEED)
-        moments = empirical_moments(spec, config, 2)
+        moments = moments_from_spectra(collect_spectra(spec, config), 2)
         se = moments.standard_error(2)
         assert abs(moments.mean(2) - (2 + 1 / 32)) <= 3 * se
         assert moments.mean(2) - 2 > 4 * se
@@ -241,57 +242,42 @@ class TestMoments:
     def test_complex_field_matches_exact_engine(self):
         spec = GinibreSpec(n=24, m=2, field="complex")
         config = RunConfig(replicates=800, master_seed=SEED)
-        moments = empirical_moments(spec, config, 2)
+        moments = moments_from_spectra(collect_spectra(spec, config), 2)
         for k in (1, 2):
             exact = float(moment_falling_sum(MomentQuery(m=2, n=24, k=k)).value)
             assert abs(moments.mean(k) - exact) <= 3 * moments.standard_error(k)
 
     def test_single_replicate_has_zero_se(self):
         spec = GinibreSpec(n=5, m=1)
-        moments = empirical_moments(spec, RunConfig(replicates=1, master_seed=SEED), 2)
+        moments = moments_from_spectra(_spectra(spec, 1), 2)
         assert moments.standard_error(1) == 0.0
         assert moments.standard_error(2) == 0.0
 
     def test_rejects_bad_kmax(self):
         spec = GinibreSpec(n=5, m=1)
         with pytest.raises(ValueError):
-            empirical_moments(spec, RunConfig(replicates=2, master_seed=SEED), 0)
+            moments_from_spectra(_spectra(spec, 2), 0)
 
 
 class TestEdgeEstimate:
     def test_quantiles_ordered_and_consistent(self):
         spec = GinibreSpec(n=16, m=1, field="real")
-        est = estimate_edge(spec, RunConfig(replicates=100, master_seed=SEED))
+        est = edge_from_values(_spectra(spec, 100)[:, 0])
         assert est.q05 <= est.q50 <= est.q95
         assert est.values.shape == (100,)
         assert est.mean_s1sq == pytest.approx(float(est.values.mean()))
 
     def test_edge_from_values_matches_estimate(self):
-        spec = GinibreSpec(n=10, m=2, field="complex")
+        # Each convergence row is edge_from_values over that size's top values.
         config = RunConfig(replicates=50, master_seed=SEED)
-        spectra = collect_spectra(spec, config)
-        direct = edge_from_values(spec, spectra[:, 0])
-        wrapped = estimate_edge(spec, config)
-        assert np.array_equal(direct.values, wrapped.values)
-        assert direct.mean_s1sq == wrapped.mean_s1sq
-
-    def test_power_iteration_matches_dense(self):
-        for n, m, field in [(64, 1, "real"), (128, 2, "complex"), (256, 3, "real")]:
-            spec = GinibreSpec(n=n, m=m, field=field)
-            config = RunConfig(replicates=3, master_seed=SEED)
-            dense = estimate_edge(spec, config, method="dense")
-            power = estimate_edge(spec, config, method="power")
-            assert np.allclose(power.values, dense.values, rtol=1e-6)
-
-    def test_power_iteration_on_explicit_matrix(self):
-        rng = np.random.default_rng(0)
-        w = np.diag([3.0, 2.0, 1.0])
-        assert power_largest_sq_singular_value(w, rng) == pytest.approx(9.0, rel=1e-9)
-
-    def test_unknown_method_rejected(self):
-        spec = GinibreSpec(n=4, m=1)
-        with pytest.raises(ValueError):
-            estimate_edge(spec, RunConfig(replicates=2, master_seed=SEED), method="magic")
+        rows = convergence_table(2, [5, 10], config, field="complex")
+        for row in rows:
+            spectra = collect_spectra(GinibreSpec(n=row.n, m=2, field="complex"), config)
+            est = edge_from_values(spectra[:, 0])
+            assert row.mean_s1sq == est.mean_s1sq
+            assert row.standard_error == est.standard_error
+            assert row.gap == 6.75 - est.mean_s1sq
+            assert row.replicates == 50
 
 
 class TestConvergenceTable:
