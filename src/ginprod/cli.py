@@ -5,6 +5,10 @@ coefficient vector with its bounds, term-dominance tables, tail bounds
 along the k_n = ceil(w log n) schedule, Monte Carlo sampling, edge
 convergence tables, and the exact identity suites.
 
+Handlers do no I/O: each returns its exit status and its documents (a
+text block, a CSV table or a JSON object), each paired with a path or
+None for stdout; ``_render`` formats each into what ``_writer`` opens.
+
 Output contracts:
 - JSON documents carry a ``meta`` object (tool, version, full
   invocation, seed where applicable) and serialize exact rationals as
@@ -12,6 +16,11 @@ Output contracts:
 - CSV files start with '#'-prefixed metadata lines, then a mandatory
   header row; numeric columns use '.' decimals, no grouping; floats are
   written with 17 significant digits.
+- Files are replaced atomically (written under a temporary name, then
+  renamed), so a failed write never leaves a truncated file.
+- An unusable destination exits 2 before any work: an ``--output`` or
+  ``--replicate-csv`` path that is a directory or lies in a missing
+  directory, or a ``--spectrum-dir`` that cannot be created.
 - Exit status: 0 success, 1 check failure, 2 usage error, 3 numerical
   failure, 4 internal error (any other exception, reported on one
   stderr line instead of a traceback).
@@ -23,11 +32,13 @@ import argparse
 import csv
 import json
 import math
+import os
 import shlex
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -50,44 +61,64 @@ quantity-to-command map:
 """
 
 
+class _Table(NamedTuple):
+    """A CSV document: its own '#' metadata lines, a header row and data rows."""
+    meta: dict
+    header: list[str]
+    rows: Iterable[list[str]]
+
+
+_Result = tuple[int, Iterable[tuple[str | None, str | dict | _Table]]]
+
+
 def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-@contextmanager
-def _sink(path: str | None):
-    if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-
-
-def _emit_json(args: argparse.Namespace, payload: dict, path: str | None = None) -> None:
-    doc = {"meta": _meta(args)}
-    doc.update(payload)
-    with _sink(path if path is not None else args.output) as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
-def _meta(args: argparse.Namespace) -> dict:
+def _render(args: argparse.Namespace, doc: str | dict | _Table, fh: TextIO) -> None:
+    """Format one document into ``fh``; JSON objects and CSV tables get the ``meta`` block."""
     meta = {"tool": "ginprod", "version": __version__, "invocation": args.invocation}
     if getattr(args, "seed", None) is not None:
         meta["seed"] = args.seed
-    return meta
-
-
-def _write_csv(args: argparse.Namespace, header: list[str], rows: list[list[str]],
-               extra_meta: dict | None = None, path: str | None = None) -> None:
-    with _sink(path if path is not None else args.output) as fh:
-        for key, value in _meta(args).items():
-            fh.write(f"# {key}: {value}\n")
-        for key, value in (extra_meta or {}).items():
+    if isinstance(doc, str):
+        fh.write(doc)
+    elif isinstance(doc, dict):
+        json.dump({"meta": meta, **doc}, fh, indent=2)
+        fh.write("\n")
+    else:
+        for key, value in [*meta.items(), *doc.meta.items()]:
             fh.write(f"# {key}: {value}\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(doc.header)
+        writer.writerows(doc.rows)
+
+
+@contextmanager
+def _writer(path: str | None) -> Iterator[TextIO]:
+    """stdout, or a temporary file that replaces ``path`` once it is completely written."""
+    if path is None:
+        yield sys.stdout
+        return
+    temp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def _check_destinations(args: argparse.Namespace) -> None:
+    """Refuse unusable output paths and create ``--spectrum-dir``, before any work."""
+    for path in (args.output, getattr(args, "replicate_csv", None)):
+        if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            raise ValueError(f"cannot write {path}: not a file in an existing directory")
+    if getattr(args, "spectrum_dir", None) is not None:
+        try:
+            Path(args.spectrum_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot create --spectrum-dir {args.spectrum_dir}: {exc.strerror}") from exc
 
 
 def _parse_grid(text: str) -> list[int]:
@@ -100,101 +131,73 @@ def _parse_grid(text: str) -> list[int]:
     return grid
 
 
-def _cmd_edge(args: argparse.Namespace) -> int:
-    with _sink(args.output) as fh:
-        fh.write(f"{edge_analysis.edge_constant(args.m).u}\n")
-    return 0
+def _cmd_edge(args: argparse.Namespace) -> _Result:
+    return 0, [(args.output, f"{edge_analysis.edge_constant(args.m).u}\n")]
 
 
-def _cmd_moments(args: argparse.Namespace) -> int:
+def _cmd_moments(args: argparse.Namespace) -> _Result:
     query = moment_engine.MomentQuery(m=args.m, n=args.n, k=args.k)
-    exit_code = 0
-    payload: dict = {"m": args.m, "n": args.n, "k": args.k}
-    falling = moment_engine.moment_falling_sum(query)
-    fc = fuss_catalan(args.m, args.k)
+    doc: dict = {"m": args.m, "n": args.n, "k": args.k}
     if args.all_formulas:
         report = moment_engine.moment_cross_check(query)
-        payload["gamma_sum"] = str(report.gamma_sum.value)
-        payload["falling_sum"] = str(report.falling_sum.value)
-        payload["stirling_beta"] = str(report.stirling_beta.value)
-        payload["agree"] = report.agree
-        if not report.agree:
-            exit_code = 1
+        falling = report.falling_sum.value
+        doc.update(gamma_sum=str(report.gamma_sum.value), falling_sum=str(falling),
+                   stirling_beta=str(report.stirling_beta.value), agree=report.agree)
     else:
-        payload["gamma_sum"] = None
-        payload["falling_sum"] = str(falling.value)
-        payload["stirling_beta"] = None
-    payload["fuss_catalan"] = str(fc)
-    payload["gap"] = str(falling.value - fc)
-    _emit_json(args, payload)
-    return exit_code
+        falling = moment_engine.moment_falling_sum(query).value
+        doc.update(gamma_sum=None, falling_sum=str(falling), stirling_beta=None)
+    fc = fuss_catalan(args.m, args.k)
+    doc.update(fuss_catalan=str(fc), gap=str(falling - fc))
+    return (0 if doc.get("agree", True) else 1), [(args.output, doc)]
 
 
-def _cmd_beta(args: argparse.Namespace) -> int:
+def _cmd_beta(args: argparse.Namespace) -> _Result:
     report = beta_poly.beta_bounds_check(beta_poly.compute_beta(m=args.m, n=args.n, k=args.k))
     rows = [
         [str(row.r), str(row.beta), str(row.lower), str(row.upper), str(row.ok).lower()]
         for row in report.rows
     ]
-    _write_csv(
-        args,
+    table = _Table(
+        {"m": args.m, "n": args.n, "k": args.k, "all_pass": str(report.all_ok).lower()},
         ["r", "beta", "lower_bound", "upper_bound", "pass"],
         rows,
-        extra_meta={"m": args.m, "n": args.n, "k": args.k, "all_pass": str(report.all_ok).lower()},
     )
-    return 0 if report.all_ok else 1
+    return (0 if report.all_ok else 1), [(args.output, table)]
 
 
-def _cmd_dominance(args: argparse.Namespace) -> int:
+def _cmd_dominance(args: argparse.Namespace) -> _Result:
     report = edge_analysis.dominance_report(m=args.m, n=args.n, k=args.k)
-    rows = []
-    for i, r in enumerate(report.r_values):
-        has_next = i < len(report.ratios)
-        rows.append(
-            [
-                str(r),
-                str(report.terms[i]),
-                str(report.ratios[i]) if has_next else "",
-                str(report.ratio_bounds[i]) if has_next else "",
-                str(report.ratio_ok[i]).lower() if has_next else "",
-            ]
-        )
-    _write_csv(
-        args,
-        ["r", "term", "ratio_to_next", "ratio_bound", "pass"],
-        rows,
-        extra_meta={
+    rows = [[str(r), str(term)] for r, term in zip(report.r_values, report.terms)]
+    for row, ratio, bound, ok in zip(rows, report.ratios, report.ratio_bounds, report.ratio_ok):
+        row += [str(ratio), str(bound), str(ok).lower()]
+    rows[-1] += ["", "", ""]  # the last term has no successor
+    table = _Table(
+        {
             "m": args.m,
             "n": args.n,
             "k": args.k,
             "first_term_share": _fmt_float(report.first_term_share),
             "all_ratios_pass": str(report.all_ratios_ok).lower(),
         },
+        ["r", "term", "ratio_to_next", "ratio_bound", "pass"],
+        rows,
     )
-    return 0 if report.all_ratios_ok else 1
+    return (0 if report.all_ratios_ok else 1), [(args.output, table)]
 
 
-def _cmd_tailbound(args: argparse.Namespace) -> int:
-    rows = []
-    for n in args.n_grid:
-        summand = edge_analysis.tail_summand(args.m, n, args.z, w=args.w)
-        rows.append(
-            [
-                str(n),
-                str(summand.k_n),
-                str(summand.exact_bound),
-                _fmt_float(summand.log_exact),
-                _fmt_float(summand.log_surrogate),
-                _fmt_float(-2.0 * math.log(n)),
-            ]
-        )
-    _write_csv(
-        args,
+def _cmd_tailbound(args: argparse.Namespace) -> _Result:
+    summands = [edge_analysis.tail_summand(args.m, n, args.z, w=args.w) for n in args.n_grid]
+    rows = [
+        [str(n), str(s.k_n), str(s.exact_bound), _fmt_float(s.log_exact),
+         _fmt_float(s.log_surrogate), _fmt_float(-2.0 * math.log(n))]
+        for n, s in zip(args.n_grid, summands)
+    ]
+    table = _Table(
+        {"m": args.m, "z": str(Fraction(args.z)), "w": "default" if args.w is None else _fmt_float(args.w)},
         ["n", "k_n", "exact_bound", "log_exact", "log_surrogate", "minus_2_log_n"],
         rows,
-        extra_meta={"m": args.m, "z": str(Fraction(args.z)), "w": "default" if args.w is None else _fmt_float(args.w)},
     )
-    return 0
+    return 0, [(args.output, table)]
 
 
 def _run_config(args: argparse.Namespace) -> montecarlo.RunConfig:
@@ -203,13 +206,12 @@ def _run_config(args: argparse.Namespace) -> montecarlo.RunConfig:
     return montecarlo.RunConfig(replicates=args.replicates, master_seed=args.seed, workers=workers)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> _Result:
     spec = montecarlo.GinibreSpec(n=args.n, m=args.m, field=args.field)
-    config = _run_config(args)
-    spectra = montecarlo.collect_spectra(spec, config)
+    spectra = montecarlo.collect_spectra(spec, _run_config(args))
     edge = montecarlo.edge_from_values(spectra[:, 0])
     u = edge_analysis.edge_constant(args.m).u
-    payload: dict = {
+    summary: dict = {
         "m": args.m,
         "n": args.n,
         "field": args.field,
@@ -226,60 +228,55 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     }
     if args.kmax is not None and not args.edge_only:
         moments = montecarlo.moments_from_spectra(spectra, args.kmax)
-        payload["moments"] = [
+        summary["moments"] = [
             {"k": k, "mean": moments.mean(k), "standard_error": moments.standard_error(k)}
             for k in range(1, args.kmax + 1)
         ]
-    if args.replicate_csv is not None:
-        rows = [[str(r), _fmt_float(spectra[r, 0])] for r in range(config.replicates)]
-        _write_csv(args, ["replicate_index", "s1_sq"], rows,
-                   extra_meta={"m": args.m, "n": args.n, "field": args.field},
-                   path=args.replicate_csv)
-    if args.spectrum_dir is not None:
-        out_dir = Path(args.spectrum_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for r in range(config.replicates):
-            rows = [[str(i), _fmt_float(s)] for i, s in enumerate(spectra[r], start=1)]
-            _write_csv(args, ["rank", "s_sq"], rows,
-                       extra_meta={"m": args.m, "n": args.n, "field": args.field, "replicate_index": r},
-                       path=str(out_dir / f"spectrum_{r:06d}.csv"))
-    _emit_json(args, payload)
-    return 0
+    run_meta = {"m": args.m, "n": args.n, "field": args.field}
+
+    def documents():
+        # Lazily, so one replicate's file is written before the next is built.
+        if args.replicate_csv is not None:
+            rows = ([str(r), _fmt_float(s1_sq)] for r, s1_sq in enumerate(spectra[:, 0]))
+            yield args.replicate_csv, _Table(run_meta, ["replicate_index", "s1_sq"], rows)
+        if args.spectrum_dir is not None:
+            for r, spectrum in enumerate(spectra):
+                rows = ([str(i), _fmt_float(s)] for i, s in enumerate(spectrum, start=1))
+                path = str(Path(args.spectrum_dir) / f"spectrum_{r:06d}.csv")
+                yield path, _Table({**run_meta, "replicate_index": r}, ["rank", "s_sq"], rows)
+        yield args.output, summary
+
+    return 0, documents()
 
 
-def _cmd_converge(args: argparse.Namespace) -> int:
+def _cmd_converge(args: argparse.Namespace) -> _Result:
     rows = montecarlo.convergence_table(args.m, args.n_grid, _run_config(args), field=args.field)
     csv_rows = [
         [str(row.n), _fmt_float(row.mean_s1sq), _fmt_float(row.gap),
          _fmt_float(row.standard_error), str(row.replicates)]
         for row in rows
     ]
-    u = edge_analysis.edge_constant(args.m).u
-    _write_csv(
-        args,
+    table = _Table(
+        {"m": args.m, "field": args.field, "u": str(edge_analysis.edge_constant(args.m).u)},
         ["n", "mean_s1sq", "gap", "standard_error", "replicates"],
         csv_rows,
-        extra_meta={"m": args.m, "field": args.field, "u": str(u)},
     )
-    return 0
+    return 0, [(args.output, table)]
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> _Result:
     report = verify_suites.run_verify(args.profile)
+    exit_code = 0 if report.ok else 1
     if args.json:
-        _emit_json(args, report.as_dict())
-    else:
-        with _sink(args.output) as fh:
-            for suite in report.suites:
-                status = "ok" if suite.ok else "FAIL"
-                fh.write(
-                    f"{suite.name}: {status} ({suite.checks} checks, {suite.seconds:.2f} s)\n"
-                )
-                for failure in suite.failures:
-                    fh.write(f"  FAIL at {failure.point}: {failure.message}\n")
-            overall = "ok" if report.ok else "FAIL"
-            fh.write(f"verify [{report.profile}]: {overall} ({report.checks} checks)\n")
-    return 0 if report.ok else 1
+        return exit_code, [(args.output, report.as_dict())]
+    lines = []
+    for suite in report.suites:
+        status = "ok" if suite.ok else "FAIL"
+        lines.append(f"{suite.name}: {status} ({suite.checks} checks, {suite.seconds:.2f} s)\n")
+        lines += [f"  FAIL at {failure.point}: {failure.message}\n" for failure in suite.failures]
+    overall = "ok" if report.ok else "FAIL"
+    lines.append(f"verify [{report.profile}]: {overall} ({report.checks} checks)\n")
+    return exit_code, [(args.output, "".join(lines))]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,13 +289,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ginprod {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    # Option groups shared by several subcommands, as argparse parent parsers.
+    # Options shared by several subcommands, each defined once as an argparse parent parser.
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output", help="write the report to this path instead of stdout")
-    mnk = argparse.ArgumentParser(add_help=False)
-    mnk.add_argument("--m", type=int, required=True, help="number of factors")
-    mnk.add_argument("--n", type=int, required=True, help="matrix size")
-    mnk.add_argument("--k", type=int, required=True, help="moment order")
+    m = argparse.ArgumentParser(add_help=False)
+    m.add_argument("--m", type=int, required=True, help="number of factors")
+    n = argparse.ArgumentParser(add_help=False)
+    n.add_argument("--n", type=int, required=True, help="matrix size")
+    k = argparse.ArgumentParser(add_help=False)
+    k.add_argument("--k", type=int, required=True, help="moment order")
+    n_grid = argparse.ArgumentParser(add_help=False)
+    n_grid.add_argument("--n-grid", type=_parse_grid, required=True,
+                        help="comma-separated matrix sizes (ascending for converge), e.g. 64,128,256,512")
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("--field", choices=("real", "complex"), default="real")
     run.add_argument("--replicates", type=int, required=True)
@@ -312,38 +314,29 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = add("edge", "print the spectral-edge constant for m factors", _cmd_edge)
-    p.add_argument("--m", type=int, required=True, help="number of factors")
+    add("edge", "print the spectral-edge constant for m factors", _cmd_edge, m)
 
-    p = add("moments", "exact finite-n spectral moments (JSON)", _cmd_moments, mnk)
+    p = add("moments", "exact finite-n spectral moments (JSON)", _cmd_moments, m, n, k)
     p.add_argument("--all-formulas", action="store_true",
                    help="evaluate all three formulations and cross-check them")
 
-    add("beta", "edge-polynomial coefficients with two-sided bounds (CSV)", _cmd_beta, mnk)
+    add("beta", "edge-polynomial coefficients with two-sided bounds (CSV)", _cmd_beta, m, n, k)
 
-    add("dominance", "term decay of the coefficient-weighted moment sum (CSV)", _cmd_dominance, mnk)
+    add("dominance", "term decay of the coefficient-weighted moment sum (CSV)", _cmd_dominance, m, n, k)
 
-    p = add("tailbound", "tail bound along the k_n = ceil(w log n) schedule (CSV)", _cmd_tailbound)
-    p.add_argument("--m", type=int, required=True, help="number of factors")
+    p = add("tailbound", "tail bound along the k_n = ceil(w log n) schedule (CSV)", _cmd_tailbound, m, n_grid)
     p.add_argument("--z", type=Fraction, required=True,
                    help="threshold above the edge constant, e.g. 6 or 27/4 or 10.125")
     p.add_argument("--w", type=float, default=None,
                    help="schedule slope; default is just above the admissible threshold")
-    p.add_argument("--n-grid", type=_parse_grid, required=True,
-                   help="comma-separated matrix sizes, e.g. 60,120,240,480")
 
-    p = add("simulate", "sample product spectra; JSON summary, optional CSVs", _cmd_simulate, run)
-    p.add_argument("--m", type=int, required=True, help="number of factors")
-    p.add_argument("--n", type=int, required=True, help="matrix size")
+    p = add("simulate", "sample product spectra; JSON summary, optional CSVs", _cmd_simulate, run, m, n)
     p.add_argument("--kmax", type=int, default=None, help="also report empirical moments up to this order")
     p.add_argument("--edge-only", action="store_true", help="report only largest-value statistics")
     p.add_argument("--replicate-csv", default=None, help="write per-replicate s1_sq rows to this path")
     p.add_argument("--spectrum-dir", default=None, help="write one full-spectrum CSV per replicate here")
 
-    p = add("converge", "largest-value convergence table over an n-grid (CSV)", _cmd_converge, run)
-    p.add_argument("--m", type=int, required=True, help="number of factors")
-    p.add_argument("--n-grid", type=_parse_grid, required=True,
-                   help="comma-separated ascending matrix sizes, e.g. 64,128,256,512")
+    add("converge", "largest-value convergence table over an n-grid (CSV)", _cmd_converge, run, m, n_grid)
 
     p = add("verify", "run the exact identity suites", _cmd_verify)
     p.add_argument("--profile", choices=verify_suites.PROFILES, default="quick")
@@ -359,7 +352,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args.invocation = shlex.join(["ginprod", *argv])
     try:
-        return args.func(args)
+        _check_destinations(args)
+        exit_code, documents = args.func(args)
+        for path, doc in documents:
+            with _writer(path) as fh:
+                _render(args, doc, fh)
+        return exit_code
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"ginprod: numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -141,10 +141,6 @@ class DominanceReport:
     first_term_share: Fraction
 
     @property
-    def max_ratio(self) -> Fraction:
-        return max(self.ratios)
-
-    @property
     def scaled_moment(self) -> Fraction:
         """n^(k(m+1))/k times the term sum; equals n^(mk+1) G(m, n, k)."""
         return sum(self.terms, Fraction(0)) * Fraction(self.n) ** (self.k * (self.m + 1)) / self.k
@@ -202,13 +198,7 @@ class AsymptoticCheck:
     exact: Fraction
     mid_form: Fraction
     closed_form: float
-    rel_err_exact_mid: float
     rel_err_mid_closed: float
-
-    @property
-    def relative_error(self) -> float:
-        """End-to-end deviation |exact / closed_form - 1|."""
-        return abs(float(self.exact) / self.closed_form - 1.0)
 
 
 def beta_leading_asymptotic(m: int, k: int) -> AsymptoticCheck:
@@ -226,7 +216,6 @@ def beta_leading_asymptotic(m: int, k: int) -> AsymptoticCheck:
         exact=exact,
         mid_form=mid,
         closed_form=closed,
-        rel_err_exact_mid=abs(float(exact / mid) - 1.0),
         rel_err_mid_closed=abs(float(mid) / closed - 1.0),
     )
 

@@ -123,7 +123,6 @@ class EmpiricalMoments:
 
     means: np.ndarray
     standard_errors: np.ndarray
-    per_replicate: np.ndarray  # shape (replicates, k_max), row r = replicate r
 
     def mean(self, k: int) -> float:
         return float(self.means[k - 1])
@@ -281,7 +280,6 @@ def moments_from_spectra(spectra: np.ndarray, k_max: int) -> EmpiricalMoments:
     return EmpiricalMoments(
         means=means,
         standard_errors=ses,
-        per_replicate=per_replicate,
     )
 
 

@@ -7,11 +7,16 @@ can be asserted directly and fault injection reaches the engine calls.
 import csv
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ginprod.cli
 import ginprod.combinatorics
+import ginprod.moment_engine
 import ginprod.montecarlo
 from ginprod.cli import main
 
@@ -315,3 +320,125 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestOutputPath:
+    """Every document goes through one renderer and one atomic writer."""
+
+    CALLS = {
+        "edge": ["edge", "--m", "3"],
+        "moments": ["moments", "--m", "2", "--n", "4", "--k", "3", "--all-formulas"],
+        "beta": ["beta", "--m", "1", "--n", "3", "--k", "2"],
+        "dominance": ["dominance", "--m", "2", "--n", "200", "--k", "2"],
+        "tailbound": ["tailbound", "--m", "1", "--z", "6", "--n-grid", "60,120"],
+        "simulate": ["simulate", "--m", "1", "--n", "4", "--replicates", "3", "--seed", "2",
+                     "--kmax", "2"],
+        "converge": ["converge", "--m", "1", "--n-grid", "4,8", "--replicates", "3", "--seed", "2"],
+        "verify": ["verify"],
+        "verify-json": ["verify", "--json"],
+    }
+
+    @staticmethod
+    def mask_timings(text):
+        text = re.sub(r"\d+\.\d+ s\)", "T s)", text)
+        return re.sub(r'"seconds": [0-9.e+-]+', '"seconds": T', text)
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_output_file_equals_stdout(self, capsys, tmp_path, name):
+        argv = self.CALLS[name]
+        target = tmp_path / "report.out"
+        code_out, out, _ = run_cli(capsys, *argv)
+        code_file, printed, _ = run_cli(capsys, *argv, "--output", str(target))
+        assert code_out == code_file == 0
+        assert printed == ""
+        # The invocation in the meta block is the only part that names --output.
+        expected = out.replace(shlex.join(["ginprod", *argv]),
+                               shlex.join(["ginprod", *argv, "--output", str(target)]))
+        written = target.read_bytes().decode("utf-8")
+        assert self.mask_timings(written) == self.mask_timings(expected)
+
+    def test_output_in_missing_directory_exits_two(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.txt"
+        code, out, err = run_cli(capsys, "edge", "--m", "2", "--output", str(target))
+        assert code == 2
+        assert out == ""
+        assert str(target) in err
+        assert not target.parent.exists()
+
+    def test_output_that_is_a_directory_exits_two(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "moments", "--m", "1", "--n", "2", "--k", "2",
+                               "--output", str(tmp_path))
+        assert code == 2
+        assert str(tmp_path) in err
+
+    def test_bad_destinations_are_refused_before_sampling(self, capsys, monkeypatch, tmp_path):
+        def never(*args, **kwargs):
+            raise AssertionError("sampled before the destinations were checked")
+
+        monkeypatch.setattr(ginprod.montecarlo, "collect_spectra", never)
+        base = ("simulate", "--m", "1", "--n", "4", "--replicates", "2", "--seed", "1")
+        missing = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, *base, "--replicate-csv", str(missing))
+        assert code == 2
+        assert out == ""
+        assert str(missing) in err
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        code, _, err = run_cli(capsys, *base, "--spectrum-dir", str(blocker / "spectra"))
+        assert code == 2
+        assert str(blocker / "spectra") in err
+
+    def test_spectrum_dir_holds_only_the_spectra(self, capsys, tmp_path):
+        spec_dir = tmp_path / "spectra"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--m", "2", "--n", "3", "--replicates", "5", "--seed", "4",
+            "--spectrum-dir", str(spec_dir), "--workers", "2",
+        )
+        assert code == 0
+        assert sorted(p.name for p in spec_dir.iterdir()) == [
+            f"spectrum_{r:06d}.csv" for r in range(5)
+        ]
+
+    def test_failed_write_keeps_the_old_file(self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "summary.json"
+        target.write_text("old content\n")
+        spec_dir = tmp_path / "spectra"
+
+        def torn_open(file, *args, **kwargs):
+            fh = open(file, *args, **kwargs)
+            if Path(file).name.startswith(target.name):
+                def torn_write(text):
+                    type(fh).write(fh, text[: len(text) // 2])
+                    raise OSError(28, "No space left on device")
+
+                fh.write = torn_write
+            return fh
+
+        monkeypatch.setattr(ginprod.cli, "open", torn_open, raising=False)
+        code, out, err = run_cli(
+            capsys, "simulate", "--m", "1", "--n", "3", "--replicates", "3", "--seed", "4",
+            "--spectrum-dir", str(spec_dir), "--output", str(target),
+        )
+        assert code == 4
+        assert "No space left on device" in err
+        assert target.read_text() == "old content\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spectra", "summary.json"]
+        assert len(list(spec_dir.iterdir())) == 3
+
+
+def test_all_formulas_evaluates_the_falling_sum_once(capsys, monkeypatch):
+    real = ginprod.moment_engine.moment_falling_sum
+    calls = []
+
+    def counted(query):
+        calls.append(query)
+        return real(query)
+
+    monkeypatch.setattr(ginprod.moment_engine, "moment_falling_sum", counted)
+    code, out, _ = run_cli(capsys, "moments", "--m", "2", "--n", "5", "--k", "3", "--all-formulas")
+    assert code == 0
+    assert len(calls) == 1
+    doc = json.loads(out)
+    assert list(doc) == ["meta", "m", "n", "k", "gamma_sum", "falling_sum", "stirling_beta",
+                         "agree", "fuss_catalan", "gap"]
+    assert doc["falling_sum"] == doc["gamma_sum"] == doc["stirling_beta"]
