@@ -16,11 +16,15 @@ Output contracts:
 - CSV files start with '#'-prefixed metadata lines, then a mandatory
   header row; numeric columns use '.' decimals, no grouping; floats are
   written with 17 significant digits.
-- Files are replaced atomically (written under a temporary name, then
-  renamed), so a failed write never leaves a truncated file.
+- A new or regular output file is replaced atomically (written under a
+  temporary name in its directory, then renamed; its permission bits are
+  kept), so a failed write never leaves a truncated file. A symlink,
+  device or FIFO (``/dev/null``, ``/dev/stdout``) is written in place.
 - An unusable destination exits 2 before any work: an ``--output`` or
-  ``--replicate-csv`` path that is a directory or lies in a missing
-  directory, or a ``--spectrum-dir`` that cannot be created.
+  ``--replicate-csv`` path that is a directory, an unwritable file, or
+  lies in a missing or unwritable directory, or a ``--spectrum-dir``
+  whose nearest existing ancestor is not a writable directory. The
+  ``--spectrum-dir`` is made when its first file is written.
 - Exit status: 0 success, 1 check failure, 2 usage error, 3 numerical
   failure, 4 internal error (any other exception, reported on one
   stderr line instead of a traceback).
@@ -34,6 +38,7 @@ import json
 import math
 import os
 import shlex
+import stat
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -93,16 +98,33 @@ def _render(args: argparse.Namespace, doc: str | dict | _Table, fh: TextIO) -> N
         writer.writerows(doc.rows)
 
 
+def _replaced(path: str) -> bool:
+    """Whether ``path`` is written atomically: it does not exist yet or is a plain regular file.
+
+    A symlink, device, FIFO or other special file is opened and written in place, as
+    renaming onto it would destroy it (``--output /dev/null`` or ``/dev/stdout``).
+    """
+    return not os.path.lexists(path) or (os.path.isfile(path) and not os.path.islink(path))
+
+
 @contextmanager
 def _writer(path: str | None) -> Iterator[TextIO]:
     """stdout, or a temporary file that replaces ``path`` once it is completely written."""
     if path is None:
         yield sys.stdout
         return
+    if not _replaced(path):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        return
+    # The only missing parent the pre-flight lets through is a --spectrum-dir not made yet.
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     temp = Path(f"{path}.{os.getpid()}.tmp")
     try:
         with open(temp, "w", encoding="utf-8", newline="") as fh:
             yield fh
+        if os.path.exists(path):
+            os.chmod(temp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
@@ -110,15 +132,27 @@ def _writer(path: str | None) -> Iterator[TextIO]:
 
 
 def _check_destinations(args: argparse.Namespace) -> None:
-    """Refuse unusable output paths and create ``--spectrum-dir``, before any work."""
+    """Refuse output paths that cannot be written, before any work; nothing is created yet."""
     for path in (args.output, getattr(args, "replicate_csv", None)):
-        if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
-            raise ValueError(f"cannot write {path}: not a file in an existing directory")
-    if getattr(args, "spectrum_dir", None) is not None:
-        try:
-            Path(args.spectrum_dir).mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ValueError(f"cannot create --spectrum-dir {args.spectrum_dir}: {exc.strerror}") from exc
+        if path is None:
+            continue
+        parent = os.path.dirname(path) or "."
+        if (
+            os.path.isdir(path)
+            or not os.path.isdir(parent)
+            or (os.path.exists(path) and not os.access(path, os.W_OK))
+            or (_replaced(path) and not os.access(parent, os.W_OK | os.X_OK))
+        ):
+            raise ValueError(f"cannot write {path}: not a writable file in a writable directory")
+    spectrum_dir = getattr(args, "spectrum_dir", None)
+    if spectrum_dir is not None:
+        # The directory is made when its first spectrum is written; check that it can be.
+        existing = Path(spectrum_dir).absolute()
+        while not os.path.lexists(existing):
+            existing = existing.parent
+        if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+            raise ValueError(f"cannot create --spectrum-dir {spectrum_dir}: "
+                             f"{existing} is not a writable directory")
 
 
 def _parse_grid(text: str) -> list[int]:
@@ -137,18 +171,26 @@ def _cmd_edge(args: argparse.Namespace) -> _Result:
 
 def _cmd_moments(args: argparse.Namespace) -> _Result:
     query = moment_engine.MomentQuery(m=args.m, n=args.n, k=args.k)
-    doc: dict = {"m": args.m, "n": args.n, "k": args.k}
+    exit_code = 0
+    payload: dict = {"m": args.m, "n": args.n, "k": args.k}
     if args.all_formulas:
         report = moment_engine.moment_cross_check(query)
         falling = report.falling_sum.value
-        doc.update(gamma_sum=str(report.gamma_sum.value), falling_sum=str(falling),
-                   stirling_beta=str(report.stirling_beta.value), agree=report.agree)
+        payload["gamma_sum"] = str(report.gamma_sum.value)
+        payload["falling_sum"] = str(falling)
+        payload["stirling_beta"] = str(report.stirling_beta.value)
+        payload["agree"] = report.agree
+        if not report.agree:
+            exit_code = 1
     else:
         falling = moment_engine.moment_falling_sum(query).value
-        doc.update(gamma_sum=None, falling_sum=str(falling), stirling_beta=None)
+        payload["gamma_sum"] = None
+        payload["falling_sum"] = str(falling)
+        payload["stirling_beta"] = None
     fc = fuss_catalan(args.m, args.k)
-    doc.update(fuss_catalan=str(fc), gap=str(falling - fc))
-    return (0 if doc.get("agree", True) else 1), [(args.output, doc)]
+    payload["fuss_catalan"] = str(fc)
+    payload["gap"] = str(falling - fc)
+    return exit_code, [(args.output, payload)]
 
 
 def _cmd_beta(args: argparse.Namespace) -> _Result:
@@ -167,10 +209,18 @@ def _cmd_beta(args: argparse.Namespace) -> _Result:
 
 def _cmd_dominance(args: argparse.Namespace) -> _Result:
     report = edge_analysis.dominance_report(m=args.m, n=args.n, k=args.k)
-    rows = [[str(r), str(term)] for r, term in zip(report.r_values, report.terms)]
-    for row, ratio, bound, ok in zip(rows, report.ratios, report.ratio_bounds, report.ratio_ok):
-        row += [str(ratio), str(bound), str(ok).lower()]
-    rows[-1] += ["", "", ""]  # the last term has no successor
+    rows = []
+    for i, r in enumerate(report.r_values):
+        has_next = i < len(report.ratios)
+        rows.append(
+            [
+                str(r),
+                str(report.terms[i]),
+                str(report.ratios[i]) if has_next else "",
+                str(report.ratio_bounds[i]) if has_next else "",
+                str(report.ratio_ok[i]).lower() if has_next else "",
+            ]
+        )
     table = _Table(
         {
             "m": args.m,
@@ -186,12 +236,19 @@ def _cmd_dominance(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_tailbound(args: argparse.Namespace) -> _Result:
-    summands = [edge_analysis.tail_summand(args.m, n, args.z, w=args.w) for n in args.n_grid]
-    rows = [
-        [str(n), str(s.k_n), str(s.exact_bound), _fmt_float(s.log_exact),
-         _fmt_float(s.log_surrogate), _fmt_float(-2.0 * math.log(n))]
-        for n, s in zip(args.n_grid, summands)
-    ]
+    rows = []
+    for n in args.n_grid:
+        summand = edge_analysis.tail_summand(args.m, n, args.z, w=args.w)
+        rows.append(
+            [
+                str(n),
+                str(summand.k_n),
+                str(summand.exact_bound),
+                _fmt_float(summand.log_exact),
+                _fmt_float(summand.log_surrogate),
+                _fmt_float(-2.0 * math.log(n)),
+            ]
+        )
     table = _Table(
         {"m": args.m, "z": str(Fraction(args.z)), "w": "default" if args.w is None else _fmt_float(args.w)},
         ["n", "k_n", "exact_bound", "log_exact", "log_surrogate", "minus_2_log_n"],
@@ -256,8 +313,9 @@ def _cmd_converge(args: argparse.Namespace) -> _Result:
          _fmt_float(row.standard_error), str(row.replicates)]
         for row in rows
     ]
+    u = edge_analysis.edge_constant(args.m).u
     table = _Table(
-        {"m": args.m, "field": args.field, "u": str(edge_analysis.edge_constant(args.m).u)},
+        {"m": args.m, "field": args.field, "u": str(u)},
         ["n", "mean_s1sq", "gap", "standard_error", "replicates"],
         csv_rows,
     )
@@ -273,7 +331,8 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
     for suite in report.suites:
         status = "ok" if suite.ok else "FAIL"
         lines.append(f"{suite.name}: {status} ({suite.checks} checks, {suite.seconds:.2f} s)\n")
-        lines += [f"  FAIL at {failure.point}: {failure.message}\n" for failure in suite.failures]
+        for failure in suite.failures:
+            lines.append(f"  FAIL at {failure.point}: {failure.message}\n")
     overall = "ok" if report.ok else "FAIL"
     lines.append(f"verify [{report.profile}]: {overall} ({report.checks} checks)\n")
     return exit_code, [(args.output, "".join(lines))]

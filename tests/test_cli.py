@@ -7,8 +7,10 @@ can be asserted directly and fault injection reaches the engine calls.
 import csv
 import io
 import json
+import os
 import re
 import shlex
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -424,6 +426,84 @@ class TestOutputPath:
         assert target.read_text() == "old content\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["spectra", "summary.json"]
         assert len(list(spec_dir.iterdir())) == 3
+
+    def test_output_through_a_symlink_keeps_the_link(self, capsys, tmp_path):
+        target = tmp_path / "real.txt"
+        target.write_text("old content\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        _, out, _ = run_cli(capsys, "edge", "--m", "3")
+        code, _, _ = run_cli(capsys, "edge", "--m", "3", "--output", str(link))
+        assert code == 0
+        assert link.is_symlink()
+        assert target.read_text() == out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
+
+    def test_output_to_a_device_is_written_in_place(self, capsys, monkeypatch):
+        def no_rename(*args):
+            raise AssertionError("renamed a file onto a device")
+
+        # A failing rename leaves the device alone even if the writer regresses.
+        monkeypatch.setattr(os, "replace", no_rename)
+        code, out, err = run_cli(capsys, "edge", "--m", "2", "--output", os.devnull)
+        assert (code, out, err) == (0, "", "")
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_output_to_a_fifo_is_written_in_place(self, capsys, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        # A non-blocking reader lets the writer open the FIFO without a second thread.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, _, _ = run_cli(capsys, "edge", "--m", "1", "--output", str(fifo))
+            received = os.read(reader, 4096)
+        finally:
+            os.close(reader)
+        assert code == 0
+        assert received == b"4\n"
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
+
+    def test_replaced_file_keeps_its_permission_bits(self, capsys, tmp_path):
+        target = tmp_path / "edge.txt"
+        target.write_text("old content\n")
+        target.chmod(0o640)
+        code, _, _ = run_cli(capsys, "edge", "--m", "1", "--output", str(target))
+        assert code == 0
+        assert target.read_text() == "4\n"
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+    def test_unwritable_destinations_exit_two(self, capsys, monkeypatch, tmp_path):
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        read_only = tmp_path / "read_only.txt"
+        read_only.write_text("old content\n")
+        real_access = os.access
+        # Permission bits do not bind root, so the refusal is simulated at os.access.
+        monkeypatch.setattr(
+            os, "access",
+            lambda path, mode: Path(path).name not in ("locked", "read_only.txt")
+            and real_access(path, mode),
+        )
+        for argv in (
+            ["edge", "--m", "2", "--output", str(locked / "x.txt")],
+            ["edge", "--m", "2", "--output", str(read_only)],
+            ["simulate", "--m", "1", "--n", "2", "--replicates", "2", "--seed", "1",
+             "--spectrum-dir", str(locked / "new" / "spectra")],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert argv[-1] in err
+        assert read_only.read_text() == "old content\n"
+        assert list(locked.iterdir()) == []
+
+    def test_refused_input_leaves_no_spectrum_dir(self, capsys, tmp_path):
+        spec_dir = tmp_path / "spectra"
+        code, _, err = run_cli(capsys, "simulate", "--m", "0", "--n", "3", "--replicates", "2",
+                               "--seed", "1", "--spectrum-dir", str(spec_dir))
+        assert code == 2
+        assert "m" in err
+        assert not spec_dir.exists()
 
 
 def test_all_formulas_evaluates_the_falling_sum_once(capsys, monkeypatch):
