@@ -49,7 +49,7 @@ import numpy as np
 
 from . import __version__, beta_poly, edge_analysis, moment_engine, montecarlo
 from . import verify as verify_suites
-from .combinatorics import fuss_catalan
+from .combinatorics import _natural, fuss_catalan
 
 __all__ = ["main", "build_parser"]
 
@@ -265,7 +265,11 @@ def _run_config(args: argparse.Namespace) -> montecarlo.RunConfig:
 
 def _cmd_simulate(args: argparse.Namespace) -> _Result:
     spec = montecarlo.GinibreSpec(n=args.n, m=args.m, field=args.field)
-    spectra = montecarlo.collect_spectra(spec, _run_config(args))
+    config = _run_config(args)
+    with_moments = args.kmax is not None and not args.edge_only
+    if with_moments:
+        _natural("k_max", args.kmax, 1)  # refuse a bad order before sampling
+    spectra = montecarlo.collect_spectra(spec, config)
     edge = montecarlo.edge_from_values(spectra[:, 0])
     u = edge_analysis.edge_constant(args.m).u
     summary: dict = {
@@ -283,7 +287,7 @@ def _cmd_simulate(args: argparse.Namespace) -> _Result:
             "standard_error": edge.standard_error,
         },
     }
-    if args.kmax is not None and not args.edge_only:
+    if with_moments:
         moments = montecarlo.moments_from_spectra(spectra, args.kmax)
         summary["moments"] = [
             {"k": k, "mean": moments.mean(k), "standard_error": moments.standard_error(k)}

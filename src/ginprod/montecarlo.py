@@ -31,6 +31,13 @@ from its own stream, and the batch shares one stacked matmul per factor,
 one stacked SVD and one vectorised consistency check. Every operation
 acts on each replicate's slice exactly as it would on that replicate
 alone, so neither the batch size nor the worker count changes a bit.
+
+The streams are derived in bulk: a batch computes every replicate's
+PCG64 state at once by numpy's own SeedSequence and PCG64 seeding
+arithmetic (frozen by numpy's RNG policy, NEP 19), vectorised over the
+replicate index, and one generator per batch is set to each state in
+turn. The draws are bit-identical to :func:`replicate_rng`, which
+stays the contract's definition and the tests' reference.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -72,13 +79,25 @@ BATCH_DRAW_BYTES = 1 << 20
 
 _FIELD_CODES = {"real": 0, "complex": 1}
 
+# numpy's SeedSequence and PCG64 seeding constants, frozen by its RNG policy (NEP 19).
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
 
 def default_workers() -> int:
     """Worker count from the environment (GINPROD_WORKERS), default 1."""
     raw = os.environ.get(WORKERS_ENV_VAR)
     if raw is None:
         return 1
-    workers = int(raw)
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from None
     if workers < 1:
         raise ValueError(f"{WORKERS_ENV_VAR} must be >= 1, got {workers}")
     return workers
@@ -111,7 +130,9 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        _natural("replicates", self.replicates, 1)
+        # Every replicate index must be one 32-bit seed word (see _replicate_states).
+        if _natural("replicates", self.replicates, 1) > 2**32:
+            raise ValueError(f"replicates must be <= 2**32, got {self.replicates}")
         if _natural("master_seed", self.master_seed) >= 2**64:
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
         _natural("workers", self.workers, 1)
@@ -166,6 +187,79 @@ def replicate_rng(spec: GinibreSpec, master_seed: int, replicate: int) -> np.ran
     return np.random.default_rng(ss)
 
 
+def _words(value: int) -> list[int]:
+    """SeedSequence's 32-bit words of a non-negative int, least significant first."""
+    return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _hashmix(value, hash_const: int, mult: int):
+    """SeedSequence's hash of one word, or of a uint32 array of words.
+
+    Returns the hashed value and the next hash constant. The same wrapping
+    expressions serve Python ints (masked) and uint32 arrays (which wrap).
+    """
+    value = value ^ hash_const
+    hash_const = hash_const * mult & _MASK32
+    value = value * hash_const & _MASK32
+    return value ^ value >> 16, hash_const
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a pool word with a hashed word."""
+    result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return result ^ result >> 16
+
+
+def _replicate_states(
+    spec: GinibreSpec, master_seed: int, replicates: Sequence[int]
+) -> Iterator[dict]:
+    """Yield the PCG64 state of ``replicate_rng(spec, master_seed, r)`` for each r, in bulk.
+
+    Each state equals that generator's ``bit_generator.state``. The
+    entropy words of (master_seed, n, m, field) are mixed once as
+    Python ints; only the last word, r, differs between replicates, so
+    its mixing round and ``generate_state(4, uint64)`` run once over a
+    uint32 array of all r. PCG64's seeding runs on Python ints. Every r
+    must be below 2**32, a single entropy word.
+    """
+    run = _words(master_seed)
+    entropy = [*run, *[0] * (_POOL_SIZE - len(run))]  # padded because a spawn key follows
+    for word in (spec.n, spec.m, _FIELD_CODES[spec.field]):
+        entropy += _words(word)
+    entropy.append(np.asarray(replicates, dtype=np.uint32))
+
+    # SeedSequence.mix_entropy: fill the pool, mix it with itself, then mix in the rest.
+    hash_const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        value, hash_const = _hashmix(word, hash_const, _MULT_A)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(word, hash_const, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+
+    # SeedSequence.generate_state(4, np.uint64): eight words, paired low word first.
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):
+        value, hash_const = _hashmix(pool[i % _POOL_SIZE], hash_const, _MULT_B)
+        words.append(value.astype(np.uint64))
+    seeds = np.stack([words[i] | words[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
+
+    # PCG64's srandom: state 0, inc = 2 * seq + 1, step, add the seed, step.
+    for high, low, seq_high, seq_low in seeds.tolist():
+        inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
+        state = ((inc + (high << 64 | low)) * _PCG64_MULT + inc) & _MASK128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
+
+
 def _draw_shape(spec: GinibreSpec) -> tuple[int, int, int, int]:
     """Shape (m, parts, n, n) of one product's standard normals; parts is 1
     for real and 2 for complex entries."""
@@ -180,21 +274,25 @@ def _factor(spec: GinibreSpec, draws: np.ndarray, j: int) -> np.ndarray:
     return (draws[:, j, 0] + 1j * draws[:, j, 1]) / np.sqrt(2 * n)
 
 
-def _sample_batch(
-    spec: GinibreSpec, rngs: Sequence[np.random.Generator], first: int
-) -> np.ndarray:
+def _sample_batch(spec: GinibreSpec, master_seed: int, batch: range) -> np.ndarray:
     """Squared singular values, shape (b, n), each row in descending order.
 
-    Row i is replicate ``first + i``, drawn from ``rngs[i]``. One fill per
-    generator consumes its stream factor by factor, each factor's real
+    Row i is replicate ``batch[i]``, drawn from the stream of
+    ``replicate_rng(spec, master_seed, batch[i])``: one generator per
+    batch is set to each replicate's state in turn. One fill per
+    replicate consumes its stream factor by factor, each factor's real
     part before its imaginary part. Factors are built one at a time and
     the draws are freed before the decomposition, so a batch never holds
     all factors next to the raw draws. A failed or non-finite
     decomposition, or one whose sum of squares misses ||W||_F^2, raises
     and names the failing replicate.
     """
-    draws = np.empty((len(rngs), *_draw_shape(spec)))
-    for i, rng in enumerate(rngs):
+    draws = np.empty((len(batch), *_draw_shape(spec)))
+    bit_generator = np.random.PCG64()
+    rng = np.random.Generator(bit_generator)
+    states = _replicate_states(spec, master_seed, np.arange(batch.start, batch.stop))
+    for i, state in enumerate(states):
+        bit_generator.state = state
         rng.standard_normal(out=draws[i])
     product = _factor(spec, draws, 0)
     for j in range(1, spec.m):
@@ -204,20 +302,20 @@ def _sample_batch(
         singular = np.linalg.svd(product, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(
-            f"SVD failed for spec {spec} in replicates {first}..{first + len(rngs) - 1}: {exc}"
+            f"SVD failed for spec {spec} in replicates {batch.start}..{batch.stop - 1}: {exc}"
         ) from exc
     squared = singular**2
     frob = np.sum(np.abs(product) ** 2, axis=(1, 2))
     nonfinite = ~np.isfinite(squared).all(axis=1)
     if nonfinite.any():
         i = int(np.argmax(nonfinite))
-        raise ArithmeticError(f"non-finite singular values for spec {spec} at replicate {first + i}")
+        raise ArithmeticError(f"non-finite singular values for spec {spec} at replicate {batch[i]}")
     sums = np.sum(squared, axis=1)
     inconsistent = np.abs(sums - frob) > SVD_CONSISTENCY_RTOL * frob
     if inconsistent.any():
         i = int(np.argmax(inconsistent))
         raise ArithmeticError(
-            f"SVD inconsistent with Frobenius norm for spec {spec} at replicate {first + i}: "
+            f"SVD inconsistent with Frobenius norm for spec {spec} at replicate {batch[i]}: "
             f"sum s_i^2 = {sums[i]!r}, ||W||_F^2 = {frob[i]!r}"
         )
     return squared
@@ -250,8 +348,7 @@ def collect_spectra(spec: GinibreSpec, config: RunConfig) -> np.ndarray:
     spectra = np.empty((config.replicates, spec.n))
 
     def run(batch: range) -> None:
-        rngs = [replicate_rng(spec, config.master_seed, r) for r in batch]
-        spectra[batch.start : batch.stop] = _sample_batch(spec, rngs, batch.start)
+        spectra[batch.start : batch.stop] = _sample_batch(spec, config.master_seed, batch)
 
     batches = _batches(spec, config)
     if config.workers == 1:

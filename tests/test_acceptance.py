@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ginprod import montecarlo
 from ginprod.beta_poly import beta_bounds_check, compute_beta
 from ginprod.combinatorics import fuss_catalan, stirling2, stirling2_alternating
 from ginprod.edge_analysis import (
@@ -188,14 +189,18 @@ def test_criterion_10_edge_convergence_real_field():
     _finish("largest value approaches the edge constant from below", failures)
 
 
-def test_criterion_11_bitwise_reproducibility():
+def test_criterion_11_bitwise_reproducibility(monkeypatch):
     failures = []
     for m, n, field in [(1, 32, "real"), (2, 16, "complex")]:
         spec = GinibreSpec(n=n, m=m, field=field)
-        runs = [
-            collect_spectra(spec, RunConfig(replicates=64, master_seed=SEED, workers=w))
-            for w in (1, 8, 1)
-        ]
-        if not (np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])):
-            failures.append((m, n, field))
-    _finish("bit-identical results at 1 and 8 workers", failures)
+        draw_bytes = m * (1 if field == "real" else 2) * n * n * 8
+        reference = collect_spectra(spec, RunConfig(replicates=64, master_seed=SEED, workers=1))
+        # Batches of one replicate, of five (64 leaves a ragged last batch),
+        # and the default size.
+        for batch_bytes in (draw_bytes, 5 * draw_bytes, montecarlo.BATCH_DRAW_BYTES):
+            monkeypatch.setattr(montecarlo, "BATCH_DRAW_BYTES", batch_bytes)
+            for w in (1, 2, 8):
+                run = collect_spectra(spec, RunConfig(replicates=64, master_seed=SEED, workers=w))
+                if not np.array_equal(reference, run):
+                    failures.append((m, n, field, w, batch_bytes))
+    _finish("bit-identical results at 1, 2 and 8 workers and three batch sizes", failures)

@@ -253,6 +253,25 @@ class TestSimulateCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("extra, env, message", [
+        (("--kmax", "0"), None, "k_max must be >= 1, got 0"),
+        (("--replicates", str(2**32 + 1)), None, f"replicates must be <= 2**32, got {2**32 + 1}"),
+        ((), "abc", "GINPROD_WORKERS must be an integer, got 'abc'"),
+    ])
+    def test_bad_run_options_are_refused_before_sampling(self, capsys, monkeypatch, extra, env, message):
+        def never(*args, **kwargs):
+            raise AssertionError("sampled before the run options were checked")
+
+        monkeypatch.setattr(ginprod.montecarlo, "collect_spectra", never)
+        if env is not None:
+            monkeypatch.setenv(ginprod.montecarlo.WORKERS_ENV_VAR, env)
+        code, out, err = run_cli(
+            capsys, "simulate", "--m", "2", "--n", "4", "--replicates", "2", "--seed", "1", *extra
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"ginprod: error: {message}\n"
+
 
 class TestConvergeCommand:
     def test_emits_table(self, capsys):

@@ -7,6 +7,7 @@ moments: (k!)^m for complex entries and ((2k-1)!!)^m for real ones.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ginprod.montecarlo import (
     GinibreSpec,
     RunConfig,
     WORKERS_ENV_VAR,
+    _replicate_states,
     collect_spectra,
     convergence_table,
     default_workers,
@@ -79,6 +81,10 @@ class TestSpecValidation:
             RunConfig(replicates=5, master_seed=2**64)
         with pytest.raises(ValueError):
             RunConfig(replicates=5, master_seed=1, workers=0)
+        # Every replicate index is one 32-bit seed word; only the configs are built.
+        assert RunConfig(replicates=2**32, master_seed=1).replicates == 2**32
+        with pytest.raises(ValueError, match=r"replicates must be <= 2\*\*32"):
+            RunConfig(replicates=2**32 + 1, master_seed=1)
 
     def test_rejects_bools_and_non_ints(self):
         for kwargs in ({"n": 2.5, "m": 1}, {"n": 4, "m": True}, {"n": "4", "m": 1}):
@@ -100,6 +106,9 @@ class TestSpecValidation:
         assert default_workers() == 5
         monkeypatch.setenv(WORKERS_ENV_VAR, "0")
         with pytest.raises(ValueError):
+            default_workers()
+        monkeypatch.setenv(WORKERS_ENV_VAR, "abc")
+        with pytest.raises(ValueError, match=f"{WORKERS_ENV_VAR} must be an integer, got 'abc'"):
             default_workers()
 
 
@@ -210,6 +219,20 @@ class TestSeeding:
         a = _spectra(GinibreSpec(n=6, m=1), 1)[0]
         b = _spectra(GinibreSpec(n=6, m=2), 1)[0]
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_bulk_states_match_replicate_rng(self, field, m):
+        # The sampler's bulk-derived states are the contract's generators, bit
+        # for bit, at the extremes of the seed and the replicate index.
+        spec = GinibreSpec(n=7, m=m, field=field)
+        replicates = [*range(64), 2**20, 2**32 - 1]
+        for master_seed in (0, 1, 2**32 - 1, 2**32, 2**64 - 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # wrapping uint32 arithmetic must stay silent
+                states = list(_replicate_states(spec, master_seed, replicates))
+            want = [replicate_rng(spec, master_seed, r).bit_generator.state for r in replicates]
+            assert states == want, master_seed
 
     def test_worker_count_never_changes_results(self):
         spec = GinibreSpec(n=12, m=2, field="complex")
