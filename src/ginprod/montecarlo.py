@@ -32,12 +32,13 @@ one stacked SVD and one vectorised consistency check. Every operation
 acts on each replicate's slice exactly as it would on that replicate
 alone, so neither the batch size nor the worker count changes a bit.
 
-The streams are derived in bulk: a batch computes every replicate's
-PCG64 state at once by numpy's own SeedSequence and PCG64 seeding
-arithmetic (frozen by numpy's RNG policy, NEP 19), vectorised over the
-replicate index, and one generator per batch is set to each state in
-turn. The draws are bit-identical to :func:`replicate_rng`, which
-stays the contract's definition and the tests' reference.
+The streams are derived in bulk: once per run, numpy's own
+``SeedSequence(master_seed, spawn_key=(n, m, field))`` mixes the run's
+fixed words, and each batch mixes only r into that pool, for all its
+replicates at once, by numpy's seeding arithmetic (frozen by its RNG
+policy, NEP 19). One generator per batch is set to each state in turn.
+The draws are bit-identical to :func:`replicate_rng`, which stays the
+contract's definition and the tests' reference.
 """
 
 from __future__ import annotations
@@ -73,18 +74,19 @@ WORKERS_ENV_VAR = "GINPROD_WORKERS"
 #: check applied to every sample.
 SVD_CONSISTENCY_RTOL = 1e-8
 
-#: Most bytes of Gaussian draws one batch of replicates holds at once. A
-#: replicate whose draws alone exceed it is sampled in a batch of one.
+#: Most bytes of Gaussian draws and seeding one batch of replicates holds
+#: at once. A replicate whose share alone exceeds it is sampled in a batch of one.
 BATCH_DRAW_BYTES = 1 << 20
+
+#: Peak bytes one replicate adds while its batch's streams are derived (hash
+#: and state words, Python ints): about 410 measured with ``ru_maxrss``, rounded up.
+SEED_BYTES = 512
 
 _FIELD_CODES = {"real": 0, "complex": 1}
 
 # numpy's SeedSequence and PCG64 seeding constants, frozen by its RNG policy (NEP 19).
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
@@ -130,7 +132,8 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        # Every replicate index must be one 32-bit seed word (see _replicate_states).
+        # The run's fixed words come from numpy's SeedSequence pool once per run and only
+        # r is mixed per replicate (see _seed_prefix), so r must be one 32-bit seed word.
         if _natural("replicates", self.replicates, 1) > 2**32:
             raise ValueError(f"replicates must be <= 2**32, got {self.replicates}")
         if _natural("master_seed", self.master_seed) >= 2**64:
@@ -187,70 +190,45 @@ def replicate_rng(spec: GinibreSpec, master_seed: int, replicate: int) -> np.ran
     return np.random.default_rng(ss)
 
 
-def _words(value: int) -> list[int]:
-    """SeedSequence's 32-bit words of a non-negative int, least significant first."""
-    return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
+#: The nine hash constants of generate_state(4, np.uint64), which hashes pool words 0..3 twice.
+_STATE_CONSTS = np.cumprod([0x8B51F9DD, *[0x58F38DED] * 8], dtype=np.uint32)
 
 
-def _hashmix(value, hash_const: int, mult: int):
-    """SeedSequence's hash of one word, or of a uint32 array of words.
+def _hash(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of uint32 words, column j with constants j and j + 1."""
+    words = (words ^ consts[:-1]) * consts[1:]
+    return words ^ words >> 16
 
-    Returns the hashed value and the next hash constant. The same wrapping
-    expressions serve Python ints (masked) and uint32 arrays (which wrap).
+
+def _seed_prefix(spec: GinibreSpec, master_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pool and the five hash constants that every replicate's seeding starts from.
+
+    ``SeedSequence(master_seed, spawn_key=(n, m, field))`` mixes what
+    ``replicate_rng``'s sequence mixes before r, so its pool is where that
+    sequence stands before r. Its 16 + 4 * (spawn-key words) hashes fill the
+    pool with master_seed padded to four words, self-mix it and mix the key.
     """
-    value = value ^ hash_const
-    hash_const = hash_const * mult & _MASK32
-    value = value * hash_const & _MASK32
-    return value ^ value >> 16, hash_const
+    key = (spec.n, spec.m, _FIELD_CODES[spec.field])
+    key_words = sum(-(-max(word.bit_length(), 1) // 32) for word in key)
+    start = _INIT_A * pow(_MULT_A, 16 + 4 * key_words, 2**32) % 2**32
+    pool = np.random.SeedSequence(master_seed, spawn_key=key).pool
+    return pool, np.cumprod([start, *[_MULT_A] * 4], dtype=np.uint32)
 
 
-def _mix(x, y):
-    """SeedSequence's mix of a pool word with a hashed word."""
-    result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
-    return result ^ result >> 16
+def _replicate_states(prefix: tuple, replicates: Sequence[int]) -> Iterator[dict]:
+    """Yield the PCG64 state of ``replicate_rng(spec, master_seed, r)`` for each r.
 
-
-def _replicate_states(
-    spec: GinibreSpec, master_seed: int, replicates: Sequence[int]
-) -> Iterator[dict]:
-    """Yield the PCG64 state of ``replicate_rng(spec, master_seed, r)`` for each r, in bulk.
-
-    Each state equals that generator's ``bit_generator.state``. The
-    entropy words of (master_seed, n, m, field) are mixed once as
-    Python ints; only the last word, r, differs between replicates, so
-    its mixing round and ``generate_state(4, uint64)`` run once over a
-    uint32 array of all r. PCG64's seeding runs on Python ints. Every r
-    must be below 2**32, a single entropy word.
+    ``prefix`` is ``_seed_prefix(spec, master_seed)``. Only r is mixed here,
+    as wrapping uint32 arrays over all r at once: into the four pool words,
+    then into ``generate_state(4, np.uint64)``'s eight. PCG64's seeding runs
+    on Python ints. Every r must be below 2**32, a single entropy word.
     """
-    run = _words(master_seed)
-    entropy = [*run, *[0] * (_POOL_SIZE - len(run))]  # padded because a spawn key follows
-    for word in (spec.n, spec.m, _FIELD_CODES[spec.field]):
-        entropy += _words(word)
-    entropy.append(np.asarray(replicates, dtype=np.uint32))
-
-    # SeedSequence.mix_entropy: fill the pool, mix it with itself, then mix in the rest.
-    hash_const = _INIT_A
-    pool = []
-    for word in entropy[:_POOL_SIZE]:
-        value, hash_const = _hashmix(word, hash_const, _MULT_A)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, hash_const = _hashmix(pool[src], hash_const, _MULT_A)
-                pool[dst] = _mix(pool[dst], value)
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            value, hash_const = _hashmix(word, hash_const, _MULT_A)
-            pool[dst] = _mix(pool[dst], value)
-
-    # SeedSequence.generate_state(4, np.uint64): eight words, paired low word first.
-    hash_const = _INIT_B
-    words = []
-    for i in range(8):
-        value, hash_const = _hashmix(pool[i % _POOL_SIZE], hash_const, _MULT_B)
-        words.append(value.astype(np.uint64))
-    seeds = np.stack([words[i] | words[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
+    pool, consts = prefix
+    r = np.asarray(replicates, dtype=np.uint32)[:, None]
+    pool = _MIX_MULT_L * pool - _MIX_MULT_R * _hash(r, consts)
+    pool ^= pool >> 16
+    words = _hash(np.concatenate((pool, pool), axis=1), _STATE_CONSTS).astype(np.uint64)
+    seeds = words[:, 0::2] | words[:, 1::2] << 32  # paired low word first
 
     # PCG64's srandom: state 0, inc = 2 * seq + 1, step, add the seed, step.
     for high, low, seq_high, seq_low in seeds.tolist():
@@ -274,25 +252,24 @@ def _factor(spec: GinibreSpec, draws: np.ndarray, j: int) -> np.ndarray:
     return (draws[:, j, 0] + 1j * draws[:, j, 1]) / np.sqrt(2 * n)
 
 
-def _sample_batch(spec: GinibreSpec, master_seed: int, batch: range) -> np.ndarray:
+def _sample_batch(spec: GinibreSpec, prefix: tuple, batch: range) -> np.ndarray:
     """Squared singular values, shape (b, n), each row in descending order.
 
     Row i is replicate ``batch[i]``, drawn from the stream of
-    ``replicate_rng(spec, master_seed, batch[i])``: one generator per
-    batch is set to each replicate's state in turn. One fill per
-    replicate consumes its stream factor by factor, each factor's real
-    part before its imaginary part. Factors are built one at a time and
-    the draws are freed before the decomposition, so a batch never holds
-    all factors next to the raw draws. A failed or non-finite
-    decomposition, or one whose sum of squares misses ||W||_F^2, raises
-    and names the failing replicate.
+    ``replicate_rng(spec, master_seed, batch[i])`` (``prefix`` is
+    ``_seed_prefix(spec, master_seed)``): one generator per batch is set to
+    each replicate's state in turn. One fill per replicate consumes its
+    stream factor by factor, each factor's real part before its imaginary
+    part. Factors are built one at a time and the draws are freed before
+    the decomposition, so a batch never holds all factors next to the raw
+    draws. A failed or non-finite decomposition, or one whose sum of
+    squares misses ||W||_F^2, raises and names the failing replicate.
     """
     draws = np.empty((len(batch), *_draw_shape(spec)))
-    bit_generator = np.random.PCG64()
-    rng = np.random.Generator(bit_generator)
-    states = _replicate_states(spec, master_seed, np.arange(batch.start, batch.stop))
+    rng = np.random.Generator(np.random.PCG64())
+    states = _replicate_states(prefix, np.arange(batch.start, batch.stop))
     for i, state in enumerate(states):
-        bit_generator.state = state
+        rng.bit_generator.state = state
         rng.standard_normal(out=draws[i])
     product = _factor(spec, draws, 0)
     for j in range(1, spec.m):
@@ -322,14 +299,14 @@ def _sample_batch(spec: GinibreSpec, master_seed: int, batch: range) -> np.ndarr
 
 
 def _batches(spec: GinibreSpec, config: RunConfig) -> list[range]:
-    """Consecutive replicate ranges, each within BATCH_DRAW_BYTES of draws.
+    """Consecutive replicate ranges, each within BATCH_DRAW_BYTES of draws and seeding.
 
     A batch also holds at most ceil(replicates / workers) replicates, so
     every worker gets a share.
     """
     draw_bytes = math.prod(_draw_shape(spec)) * np.dtype(np.float64).itemsize
     per_worker = -(-config.replicates // config.workers)
-    size = max(1, min(BATCH_DRAW_BYTES // draw_bytes, per_worker))
+    size = max(1, min(BATCH_DRAW_BYTES // (draw_bytes + SEED_BYTES), per_worker))
     return [
         range(start, min(start + size, config.replicates))
         for start in range(0, config.replicates, size)
@@ -346,9 +323,10 @@ def collect_spectra(spec: GinibreSpec, config: RunConfig) -> np.ndarray:
     take whole batches; each writes only its own rows.
     """
     spectra = np.empty((config.replicates, spec.n))
+    prefix = _seed_prefix(spec, config.master_seed)
 
     def run(batch: range) -> None:
-        spectra[batch.start : batch.stop] = _sample_batch(spec, config.master_seed, batch)
+        spectra[batch.start : batch.stop] = _sample_batch(spec, prefix, batch)
 
     batches = _batches(spec, config)
     if config.workers == 1:
@@ -408,18 +386,21 @@ def convergence_table(
 
     The gap u_m - mean(s_1^2) should shrink along a doubling grid up to
     statistical noise; this function only reports, trend assertions live
-    with the caller.
+    with the caller. Every grid point is validated before any sampling.
     """
     n_grid = list(n_grid)
+    if not n_grid:
+        raise ValueError("empty n-grid")
+    specs = [GinibreSpec(n=n, m=m, field=field) for n in n_grid]
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError(f"n_grid must be strictly ascending, got {n_grid}")
     u = float(edge_constant(m).u)
     rows = []
-    for n in n_grid:
-        est = edge_from_values(collect_spectra(GinibreSpec(n=n, m=m, field=field), config)[:, 0])
+    for spec in specs:
+        est = edge_from_values(collect_spectra(spec, config)[:, 0])
         rows.append(
             ConvergenceRow(
-                n=n,
+                n=spec.n,
                 mean_s1sq=est.mean_s1sq,
                 gap=u - est.mean_s1sq,
                 standard_error=est.standard_error,

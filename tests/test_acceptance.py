@@ -193,11 +193,12 @@ def test_criterion_11_bitwise_reproducibility(monkeypatch):
     failures = []
     for m, n, field in [(1, 32, "real"), (2, 16, "complex")]:
         spec = GinibreSpec(n=n, m=m, field=field)
-        draw_bytes = m * (1 if field == "real" else 2) * n * n * 8
+        # One replicate's share of the batch budget: its draws and its seeding.
+        replicate_bytes = m * (1 if field == "real" else 2) * n * n * 8 + montecarlo.SEED_BYTES
         reference = collect_spectra(spec, RunConfig(replicates=64, master_seed=SEED, workers=1))
         # Batches of one replicate, of five (64 leaves a ragged last batch),
         # and the default size.
-        for batch_bytes in (draw_bytes, 5 * draw_bytes, montecarlo.BATCH_DRAW_BYTES):
+        for batch_bytes in (replicate_bytes, 5 * replicate_bytes, montecarlo.BATCH_DRAW_BYTES):
             monkeypatch.setattr(montecarlo, "BATCH_DRAW_BYTES", batch_bytes)
             for w in (1, 2, 8):
                 run = collect_spectra(spec, RunConfig(replicates=64, master_seed=SEED, workers=w))

@@ -19,6 +19,7 @@ from ginprod.montecarlo import (
     RunConfig,
     WORKERS_ENV_VAR,
     _replicate_states,
+    _seed_prefix,
     collect_spectra,
     convergence_table,
     default_workers,
@@ -153,8 +154,9 @@ class TestSampleContract:
             _spectra(spec, 1)
 
 
-def _draw_bytes(spec):
-    return spec.m * (1 if spec.field == "real" else 2) * spec.n**2 * 8
+def _replicate_bytes(spec):
+    """One replicate's share of the batch budget: its draws and its seeding."""
+    return spec.m * (1 if spec.field == "real" else 2) * spec.n**2 * 8 + ginprod.montecarlo.SEED_BYTES
 
 
 class TestBatchKernel:
@@ -165,7 +167,7 @@ class TestBatchKernel:
         # Three replicates per batch by bytes; 11 replicates leave a ragged
         # last batch at every worker count.
         spec = GinibreSpec(n=5, m=m, field=field)
-        monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", 3 * _draw_bytes(spec))
+        monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", 3 * _replicate_bytes(spec))
         rows = [_reference_spectrum(spec, r) for r in range(11)]
         assert np.array_equal(_spectra(spec, 11, workers), np.vstack(rows))
 
@@ -185,7 +187,7 @@ class TestBatchKernel:
         # Spoil the second row of the second batch (of four replicates):
         # the error must name replicate 5, not the row within its batch.
         spec = GinibreSpec(n=3, m=2, field="complex")
-        monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", 4 * _draw_bytes(spec))
+        monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", 4 * _replicate_bytes(spec))
         real_svd = np.linalg.svd
         shapes = []
 
@@ -224,15 +226,39 @@ class TestSeeding:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_bulk_states_match_replicate_rng(self, field, m):
         # The sampler's bulk-derived states are the contract's generators, bit
-        # for bit, at the extremes of the seed and the replicate index.
-        spec = GinibreSpec(n=7, m=m, field=field)
+        # for bit, at the extremes of the seed and the replicate index. Sizes
+        # of two 32-bit words move the hash constant of r's mixing round.
         replicates = [*range(64), 2**20, 2**32 - 1]
-        for master_seed in (0, 1, 2**32 - 1, 2**32, 2**64 - 1):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # wrapping uint32 arithmetic must stay silent
-                states = list(_replicate_states(spec, master_seed, replicates))
-            want = [replicate_rng(spec, master_seed, r).bit_generator.state for r in replicates]
-            assert states == want, master_seed
+        for n in (7, 2**32, 2**40):
+            spec = GinibreSpec(n=n, m=m, field=field)
+            for master_seed in (0, 1, 2**32 - 1, 2**32, 2**64 - 1):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # wrapping uint32 arithmetic must stay silent
+                    states = list(_replicate_states(_seed_prefix(spec, master_seed), replicates))
+                want = [replicate_rng(spec, master_seed, r).bit_generator.state for r in replicates]
+                assert states == want, (n, master_seed)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_seed_prefix_derived_once_per_run(self, monkeypatch, workers):
+        # Five batches of one replicate share one derivation of the run's fixed words.
+        spec = GinibreSpec(n=4, m=2, field="complex")
+        monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", _replicate_bytes(spec))
+        derived, used = [], []
+
+        def seed_prefix(*args):
+            derived.append(_seed_prefix(*args))
+            return derived[-1]
+
+        def replicate_states(prefix, replicates):
+            used.append(prefix)
+            return _replicate_states(prefix, replicates)
+
+        monkeypatch.setattr(ginprod.montecarlo, "_seed_prefix", seed_prefix)
+        monkeypatch.setattr(ginprod.montecarlo, "_replicate_states", replicate_states)
+        spectra = _spectra(spec, 5, workers)
+        assert len(derived) == 1
+        assert len(used) == 5 and all(prefix is derived[0] for prefix in used)
+        assert np.array_equal(spectra, np.vstack([_reference_spectrum(spec, r) for r in range(5)]))
 
     def test_worker_count_never_changes_results(self):
         spec = GinibreSpec(n=12, m=2, field="complex")
@@ -320,3 +346,16 @@ class TestConvergenceTable:
             convergence_table(1, [32, 16], RunConfig(replicates=2, master_seed=SEED))
         with pytest.raises(ValueError):
             convergence_table(1, [16, 16], RunConfig(replicates=2, master_seed=SEED))
+
+    def test_bad_grid_refused_before_sampling(self, monkeypatch):
+        def collect_spectra(*args):
+            raise AssertionError("sampled before the grid was checked")
+
+        monkeypatch.setattr(ginprod.montecarlo, "collect_spectra", collect_spectra)
+        config = RunConfig(replicates=2, master_seed=SEED)
+        with pytest.raises(ValueError, match="empty n-grid"):
+            convergence_table(1, [], config)
+        with pytest.raises(TypeError, match="n must be an int"):
+            convergence_table(1, [256, 512.0], config)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            convergence_table(1, [8, 0], config)
