@@ -11,8 +11,8 @@ None for stdout; ``_render`` formats each into what ``_writer`` opens.
 
 Output contracts:
 - JSON documents carry a ``meta`` object (tool, version, full
-  invocation, seed where applicable) and serialize exact rationals as
-  "p/q" strings, never floats.
+  invocation; seed and ``blas_pinned`` where applicable) and serialize
+  exact rationals as "p/q" strings, never floats.
 - CSV files start with '#'-prefixed metadata lines, then a mandatory
   header row; numeric columns use '.' decimals, no grouping; floats are
   written with 17 significant digits.
@@ -85,6 +85,7 @@ def _render(args: argparse.Namespace, doc: str | dict | _Table, fh: TextIO) -> N
     meta = {"tool": "ginprod", "version": __version__, "invocation": args.invocation}
     if getattr(args, "seed", None) is not None:
         meta["seed"] = args.seed
+        meta["blas_pinned"] = montecarlo.blas_pinned()  # whether the bits hold across BLAS thread counts
     if isinstance(doc, str):
         fh.write(doc)
     elif isinstance(doc, dict):
@@ -92,7 +93,7 @@ def _render(args: argparse.Namespace, doc: str | dict | _Table, fh: TextIO) -> N
         fh.write("\n")
     else:
         for key, value in [*meta.items(), *doc.meta.items()]:
-            fh.write(f"# {key}: {value}\n")
+            fh.write(f"# {key}: {str(value).lower() if isinstance(value, bool) else value}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(doc.header)
         writer.writerows(doc.rows)
@@ -369,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--replicates", type=int, required=True)
     run.add_argument("--seed", type=int, required=True, help="master seed (unsigned 64-bit)")
     run.add_argument("--workers", type=int, default=None,
-                     help=f"worker threads (default: ${montecarlo.WORKERS_ENV_VAR} or 1)")
+                     help=f"worker threads (default: ${montecarlo.WORKERS_ENV_VAR} or the usable cores)")
 
     def add(name: str, help_text: str, func,
             *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:

@@ -22,9 +22,17 @@ Reproducibility contract: replicate r of a run draws from
 field, r)))``. Results are therefore a pure function of (spec, config)
 and in particular independent of how replicates are scheduled across
 workers. Bit-exactness is promised for repeated runs of this package on
-one platform at one BLAS thread count (multithreaded BLAS may change the
-last bits of large complex products), not across unrelated
-implementations of the same contract.
+one platform, not across unrelated implementations of the same contract.
+
+Sampling holds the BLAS numpy loaded at one thread (the worker threads
+own the cores), so the bits no longer depend on ``OPENBLAS_NUM_THREADS``:
+multithreaded BLAS changes the last bits of large complex products. The
+thread control is looked up on the first sampling run; where none is
+found (:func:`blas_pinned` is False) sampling runs unpinned and the bits
+hold only at one BLAS thread count. The cost falls on runs with fewer
+batches than cores, which lose BLAS's own parallelism: on a 2-vCPU host
+one complex m = 2, n = 1536 replicate took 3.3-3.6 s wall pinned, against
+2.2-2.6 s with two BLAS threads (and 4.1-4.8 s of CPU time).
 
 Replicates are sampled in bounded batches: each replicate's draws come
 from its own stream, and the batch shares one stacked matmul per factor,
@@ -43,11 +51,17 @@ contract's definition and the tests' reference.
 
 from __future__ import annotations
 
+import ctypes
+import dataclasses
+import functools
+import importlib
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -66,6 +80,7 @@ __all__ = [
     "edge_from_values",
     "convergence_table",
     "default_workers",
+    "blas_pinned",
 ]
 
 WORKERS_ENV_VAR = "GINPROD_WORKERS"
@@ -90,12 +105,21 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
+#: (get, set) thread-count symbols of the BLAS libraries numpy ships with, in lookup order.
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("MKL_Get_Max_Threads", "MKL_Set_Num_Threads"),
+)
+
 
 def default_workers() -> int:
-    """Worker count from the environment (GINPROD_WORKERS), default 1."""
+    """Worker count from the environment (GINPROD_WORKERS), default the usable cores."""
     raw = os.environ.get(WORKERS_ENV_VAR)
     if raw is None:
-        return 1
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     try:
         workers = int(raw)
     except ValueError:
@@ -129,7 +153,7 @@ class RunConfig:
 
     replicates: int
     master_seed: int
-    workers: int = 1
+    workers: int = dataclasses.field(default_factory=default_workers)
 
     def __post_init__(self) -> None:
         # The run's fixed words come from numpy's SeedSequence pool once per run and only
@@ -313,6 +337,66 @@ def _batches(spec: GinibreSpec, config: RunConfig) -> list[range]:
     ]
 
 
+@functools.cache
+def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The (get, set) thread-count functions of the BLAS numpy loaded, or None.
+
+    A symbol looked up in the handle of numpy's linear-algebra extension is
+    searched for in the libraries it links, so this finds the BLAS numpy
+    calls whatever its file is named. Run once, on the first sampling run,
+    so importing the package never pays for it.
+    """
+    try:
+        lib = ctypes.CDLL(importlib.import_module("numpy.linalg._umath_linalg").__file__)
+    except (ImportError, AttributeError, OSError):
+        return None
+    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+        get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+def blas_pinned() -> bool:
+    """Whether sampling holds BLAS at one thread; if not, its bits depend on the BLAS thread count."""
+    return _blas_threads() is not None
+
+
+# BLAS's thread count is process-wide, so the count of the runs holding it is too.
+_pin_lock = threading.Lock()
+_pinned_runs = 0  # sampling runs now inside _one_blas_thread
+_saved_blas_threads = 0  # the count the first of them found
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Hold BLAS at one thread while any sampling run is inside; restore the old count after the last.
+
+    Overlapping runs are counted under a lock that is held only to count,
+    so independent callers still sample side by side.
+    """
+    global _pinned_runs, _saved_blas_threads
+    control = _blas_threads()
+    if control is None:
+        yield
+        return
+    get, set_ = control
+    with _pin_lock:
+        if _pinned_runs == 0:
+            _saved_blas_threads = get()
+            set_(1)
+        _pinned_runs += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pinned_runs -= 1
+            if _pinned_runs == 0:
+                set_(_saved_blas_threads)
+
+
 def collect_spectra(spec: GinibreSpec, config: RunConfig) -> np.ndarray:
     """All squared singular values for every replicate, shape (replicates, n).
 
@@ -320,7 +404,8 @@ def collect_spectra(spec: GinibreSpec, config: RunConfig) -> np.ndarray:
     ``replicate_rng(spec, config.master_seed, r)``; column 0 holds the
     largest values s_1^2. Linear-algebra failures and non-finite spectra
     raise ArithmeticError rather than propagating NaN. Worker threads
-    take whole batches; each writes only its own rows.
+    take whole batches; each writes only its own rows. BLAS runs at one
+    thread meanwhile (see :func:`blas_pinned`).
     """
     spectra = np.empty((config.replicates, spec.n))
     prefix = _seed_prefix(spec, config.master_seed)
@@ -329,12 +414,13 @@ def collect_spectra(spec: GinibreSpec, config: RunConfig) -> np.ndarray:
         spectra[batch.start : batch.stop] = _sample_batch(spec, prefix, batch)
 
     batches = _batches(spec, config)
-    if config.workers == 1:
-        for batch in batches:
-            run(batch)
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            list(pool.map(run, batches))  # list() re-raises a worker's exception
+    with _one_blas_thread():
+        if config.workers == 1:
+            for batch in batches:
+                run(batch)
+        else:
+            with ThreadPoolExecutor(max_workers=config.workers) as pool:
+                list(pool.map(run, batches))  # list() re-raises a worker's exception
     return spectra
 
 

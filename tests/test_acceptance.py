@@ -8,6 +8,9 @@ time, so failures indicate code changes, not run-to-run noise).
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -189,8 +192,31 @@ def test_criterion_10_edge_convergence_real_field():
     _finish("largest value approaches the edge constant from below", failures)
 
 
+#: Hashes the spectra of complex one-factor runs at n = 128, 256 and 384 (8
+#: replicates, seed 7), sizes whose last bits multithreaded BLAS changes.
+_BLAS_CASE = """
+import hashlib
+from ginprod.montecarlo import GinibreSpec, RunConfig, collect_spectra
+digest = hashlib.sha256()
+for n in (128, 256, 384):
+    spec = GinibreSpec(n=n, m=1, field="complex")
+    digest.update(collect_spectra(spec, RunConfig(replicates=8, master_seed=7)).tobytes())
+"""
+
+
 def test_criterion_11_bitwise_reproducibility(monkeypatch):
     failures = []
+    # The same bits in child interpreters started at one and at two BLAS threads.
+    namespace: dict = {}
+    exec(_BLAS_CASE, namespace)
+    want = namespace["digest"].hexdigest()
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        child = subprocess.run([sys.executable, "-c", _BLAS_CASE + "print(digest.hexdigest())"],
+                               env=env, capture_output=True, text=True, check=True)
+        if child.stdout.strip() != want:
+            failures.append(("OPENBLAS_NUM_THREADS", threads))
     for m, n, field in [(1, 32, "real"), (2, 16, "complex")]:
         spec = GinibreSpec(n=n, m=m, field=field)
         # One replicate's share of the batch budget: its draws and its seeding.
@@ -204,4 +230,5 @@ def test_criterion_11_bitwise_reproducibility(monkeypatch):
                 run = collect_spectra(spec, RunConfig(replicates=64, master_seed=SEED, workers=w))
                 if not np.array_equal(reference, run):
                     failures.append((m, n, field, w, batch_bytes))
-    _finish("bit-identical results at 1, 2 and 8 workers and three batch sizes", failures)
+    _finish("bit-identical results at 1, 2 and 8 workers, three batch sizes and 1 and 2 BLAS threads",
+            failures)

@@ -273,6 +273,30 @@ class TestSimulateCommand:
         assert err == f"ginprod: error: {message}\n"
 
 
+@pytest.mark.parametrize("found", [True, False])
+def test_seeded_documents_say_whether_blas_was_pinned(capsys, monkeypatch, tmp_path, found):
+    # Every document whose meta carries the seed records one blas_pinned key;
+    # with no BLAS thread control found it reads false.
+    if found and ginprod.montecarlo._blas_threads() is None:
+        pytest.skip("no BLAS thread control found for this numpy")
+    if not found:
+        monkeypatch.setattr(ginprod.montecarlo, "_blas_threads", lambda: None)
+    code, out, _ = run_cli(
+        capsys, "simulate", "--m", "1", "--n", "3", "--replicates", "2", "--seed", "4",
+        "--replicate-csv", str(tmp_path / "reps.csv"), "--spectrum-dir", str(tmp_path / "spectra"),
+    )
+    assert code == 0
+    assert list(json.loads(out)["meta"].items())[-2:] == [("seed", 4), ("blas_pinned", found)]
+    tables = [path.read_text() for path in [tmp_path / "reps.csv", *sorted((tmp_path / "spectra").iterdir())]]
+    code, out, _ = run_cli(capsys, "converge", "--m", "1", "--n-grid", "4", "--replicates", "2", "--seed", "4")
+    assert code == 0
+    for text in [*tables, out]:
+        assert text.count("# blas_pinned:") == 1
+        assert parse_csv(text)[0]["blas_pinned"] == str(found).lower()
+    _, out, _ = run_cli(capsys, "moments", "--m", "1", "--n", "2", "--k", "2")
+    assert "blas_pinned" not in json.loads(out)["meta"]
+
+
 class TestConvergeCommand:
     def test_emits_table(self, capsys):
         code, out, _ = run_cli(

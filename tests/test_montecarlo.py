@@ -7,6 +7,10 @@ moments: (k!)^m for complex entries and ((2k-1)!!)^m for real ones.
 """
 
 import math
+import os
+import subprocess
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -18,8 +22,10 @@ from ginprod.montecarlo import (
     GinibreSpec,
     RunConfig,
     WORKERS_ENV_VAR,
+    _blas_threads,
     _replicate_states,
     _seed_prefix,
+    blas_pinned,
     collect_spectra,
     convergence_table,
     default_workers,
@@ -102,7 +108,8 @@ class TestSpecValidation:
 
     def test_default_workers_env(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        assert default_workers() == 1
+        assert default_workers() == len(os.sched_getaffinity(0))
+        assert RunConfig(replicates=1, master_seed=1).workers == default_workers()
         monkeypatch.setenv(WORKERS_ENV_VAR, "5")
         assert default_workers() == 5
         monkeypatch.setenv(WORKERS_ENV_VAR, "0")
@@ -200,7 +207,7 @@ class TestBatchKernel:
 
         monkeypatch.setattr(np.linalg, "svd", svd)
         with pytest.raises(ArithmeticError, match=f"{message}.*replicate 5"):
-            collect_spectra(spec, RunConfig(replicates=10, master_seed=SEED))
+            collect_spectra(spec, RunConfig(replicates=10, master_seed=SEED, workers=1))
         assert shapes == [(4, 3, 3), (4, 3, 3)]
 
 
@@ -265,6 +272,132 @@ class TestSeeding:
         one = collect_spectra(spec, RunConfig(replicates=40, master_seed=SEED, workers=1))
         eight = collect_spectra(spec, RunConfig(replicates=40, master_seed=SEED, workers=8))
         assert np.array_equal(one, eight)
+
+
+@pytest.fixture
+def blas_count():
+    """BLAS's thread-count getter, with the count set to 2 for the test and put back after it."""
+    if _blas_threads() is None:
+        pytest.skip("no BLAS thread control found for this numpy")
+    get, set_ = _blas_threads()
+    saved = get()
+    set_(2)
+    yield get
+    set_(saved)
+
+
+class TestBlasPinning:
+    def _svd_recording(self, monkeypatch, get, spoil=False):
+        real_svd = np.linalg.svd
+        counts = []
+
+        def svd(a, *args, **kwargs):
+            counts.append(get())
+            singular = real_svd(a, *args, **kwargs)
+            if spoil:
+                singular[0] *= np.nan
+            return singular
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        return counts
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_thread_while_sampling_and_restored_after(self, monkeypatch, blas_count, workers):
+        spec = GinibreSpec(n=4, m=2, field="complex")
+        monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", _replicate_bytes(spec))
+        counts = self._svd_recording(monkeypatch, blas_count)
+        _spectra(spec, 4, workers)
+        assert counts == [1, 1, 1, 1]
+        assert blas_count() == 2
+        assert blas_pinned()
+
+    def test_restored_after_a_spoiled_replicate(self, monkeypatch, blas_count):
+        counts = self._svd_recording(monkeypatch, blas_count, spoil=True)
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            _spectra(GinibreSpec(n=3, m=1), 2, 1)
+        assert counts == [1]
+        assert blas_count() == 2
+
+    def test_overlapping_runs_stay_pinned_until_the_last_ends(self, monkeypatch, blas_count):
+        # Run a (n = 3) waits inside its SVD until run b (n = 4) has finished in
+        # another thread; neither may block the other or unpin while a is running.
+        a_inside, b_done = threading.Event(), threading.Event()
+        real_svd = np.linalg.svd
+        counts = []
+
+        def svd(a, *args, **kwargs):
+            counts.append(blas_count())
+            if a.shape[-1] == 3:
+                a_inside.set()
+                assert b_done.wait(timeout=60), "run b never finished while run a was sampling"
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        results, errors = {}, []
+
+        def sample(n):
+            try:
+                results[n] = _spectra(GinibreSpec(n=n, m=1), 2, 1)
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        run_a = threading.Thread(target=sample, args=(3,))
+        run_a.start()
+        try:
+            assert a_inside.wait(timeout=60)
+            run_b = threading.Thread(target=sample, args=(4,))
+            run_b.start()
+            run_b.join(timeout=60)
+            assert not run_b.is_alive() and 4 in results, "run b waited for run a"
+            assert blas_count() == 1  # a still samples: b must not have restored the count
+        finally:
+            b_done.set()  # let run a end, whatever failed
+            run_a.join(timeout=60)
+        assert not errors and 3 in results
+        assert counts and set(counts) == {1}
+        assert blas_count() == 2
+
+    def test_many_overlapping_runs_keep_the_count(self, monkeypatch, blas_count):
+        # More sampling threads than cores, switching often: a lost update of the
+        # run count would unpin during a run or leave BLAS pinned after the last.
+        counts = self._svd_recording(monkeypatch, blas_count)
+        errors = []
+
+        def sample():
+            try:
+                for _ in range(1000):
+                    _spectra(GinibreSpec(n=1, m=1), 1, 1)
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=sample) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and not errors
+        assert len(counts) == 8 * 1000 and set(counts) == {1}
+        assert blas_count() == 2
+
+    def test_no_thread_control_samples_unpinned(self, monkeypatch):
+        spec = GinibreSpec(n=6, m=2, field="complex")
+        pinned = _spectra(spec, 5)
+        monkeypatch.setattr(ginprod.montecarlo, "_blas_threads", lambda: None)
+        assert not blas_pinned()
+        assert np.array_equal(_spectra(spec, 5), pinned)
+
+    def test_lookup_does_not_run_at_import(self):
+        code = ("import ginprod, ginprod.cli, ginprod.montecarlo as mc; "
+                "print(mc._blas_threads.cache_info().currsize)")
+        src = os.path.dirname(os.path.dirname(ginprod.montecarlo.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0"
 
 
 class TestMoments:
