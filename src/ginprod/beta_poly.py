@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import _natural, binomial
+from .combinatorics import _k_within_n, binomial
 
 __all__ = ["BetaVector", "BetaBoundRow", "BetaBoundsReport", "compute_beta", "beta_bounds_check", "beta_ratio"]
 
@@ -48,16 +48,6 @@ class BetaBoundsReport:
     all_ok: bool
 
 
-def _check_query(m: int, n: int, k: int) -> None:
-    for name, value in (("m", m), ("n", n), ("k", k)):
-        _natural(name, value, 1)
-    if k > n:
-        raise ValueError(
-            f"k = {k} exceeds n = {n}: root magnitudes would leave [0, 1] and the "
-            "coefficient bounds no longer apply"
-        )
-
-
 def compute_beta(m: int, n: int, k: int) -> BetaVector:
     """Expand P by repeated convolution with its linear factors.
 
@@ -66,7 +56,7 @@ def compute_beta(m: int, n: int, k: int) -> BetaVector:
     factor (n - i + y) is applied m+1 times, so this is the plain iterated
     polynomial multiplication, just over integers.
     """
-    _check_query(m, n, k)
+    _k_within_n("compute_beta", m, n, k)
     q = [1]
     for i in range(k):
         c = n - i

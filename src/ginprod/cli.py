@@ -14,8 +14,10 @@ Output contracts:
   invocation; seed and ``blas_pinned`` where applicable) and serialize
   exact rationals as "p/q" strings, never floats.
 - CSV files start with '#'-prefixed metadata lines, then a mandatory
-  header row; numeric columns use '.' decimals, no grouping; floats are
-  written with 17 significant digits.
+  header row; numeric columns use '.' decimals, no grouping.
+- Handlers return raw values and ``_cell`` alone writes them, in CSV and
+  for JSON rationals: floats with 17 significant digits, bools as
+  true/false, rationals as "p/q", None as an empty cell.
 - A new or regular output file is replaced atomically (written under a
   temporary name in its directory, then renamed; its permission bits are
   kept), so a failed write never leaves a truncated file. A symlink,
@@ -27,13 +29,16 @@ Output contracts:
   ``--spectrum-dir`` is made when its first file is written.
 - Exit status: 0 success, 1 check failure, 2 usage error, 3 numerical
   failure, 4 internal error (any other exception, reported on one
-  stderr line instead of a traceback).
+  stderr line instead of a traceback), 141 a reader closed an output
+  pipe early (``ginprod ... | head``; nothing is printed).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import itertools
 import json
 import math
 import os
@@ -67,17 +72,26 @@ quantity-to-command map:
 
 
 class _Table(NamedTuple):
-    """A CSV document: its own '#' metadata lines, a header row and data rows."""
+    """A CSV document: its own '#' metadata lines, a header row and rows of raw values."""
     meta: dict
     header: list[str]
-    rows: Iterable[list[str]]
+    rows: Iterable[Iterable]
 
 
 _Result = tuple[int, Iterable[tuple[str | None, str | dict | _Table]]]
 
 
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
+def _cell(value: object) -> str:
+    """The written form of one value: a CSV cell or metadata value, or a JSON rational."""
+    if isinstance(value, float):  # numpy's float64 too; first, as the most common cell
+        return format(value, ".17g")
+    if isinstance(value, bool):  # before int, of which bool is a subclass
+        return "true" if value else "false"
+    if isinstance(value, (int, str, Fraction)):
+        return str(value)
+    if value is None:
+        return ""
+    raise TypeError(f"no output format for {type(value).__name__}")
 
 
 def _render(args: argparse.Namespace, doc: str | dict | _Table, fh: TextIO) -> None:
@@ -89,14 +103,14 @@ def _render(args: argparse.Namespace, doc: str | dict | _Table, fh: TextIO) -> N
     if isinstance(doc, str):
         fh.write(doc)
     elif isinstance(doc, dict):
-        json.dump({"meta": meta, **doc}, fh, indent=2)
+        json.dump({"meta": meta, **doc}, fh, indent=2, default=_cell)
         fh.write("\n")
     else:
         for key, value in [*meta.items(), *doc.meta.items()]:
-            fh.write(f"# {key}: {str(value).lower() if isinstance(value, bool) else value}\n")
+            fh.write(f"# {key}: {_cell(value)}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(doc.header)
-        writer.writerows(doc.rows)
+        writer.writerows(map(_cell, row) for row in doc.rows)
 
 
 def _replaced(path: str) -> bool:
@@ -112,7 +126,14 @@ def _replaced(path: str) -> bool:
 def _writer(path: str | None) -> Iterator[TextIO]:
     """stdout, or a temporary file that replaces ``path`` once it is completely written."""
     if path is None:
-        yield sys.stdout
+        try:
+            yield sys.stdout
+            sys.stdout.flush()  # so a reader that went away shows here, not at interpreter exit
+        except BrokenPipeError:
+            # Nothing more can reach the reader: send the flush at exit to /dev/null.
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            raise
         return
     if not _replaced(path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -177,58 +198,41 @@ def _cmd_moments(args: argparse.Namespace) -> _Result:
     if args.all_formulas:
         report = moment_engine.moment_cross_check(query)
         falling = report.falling_sum.value
-        payload["gamma_sum"] = str(report.gamma_sum.value)
-        payload["falling_sum"] = str(falling)
-        payload["stirling_beta"] = str(report.stirling_beta.value)
-        payload["agree"] = report.agree
+        payload.update(gamma_sum=report.gamma_sum.value, falling_sum=falling,
+                       stirling_beta=report.stirling_beta.value, agree=report.agree)
         if not report.agree:
             exit_code = 1
     else:
         falling = moment_engine.moment_falling_sum(query).value
-        payload["gamma_sum"] = None
-        payload["falling_sum"] = str(falling)
-        payload["stirling_beta"] = None
-    fc = fuss_catalan(args.m, args.k)
-    payload["fuss_catalan"] = str(fc)
-    payload["gap"] = str(falling - fc)
+        payload.update(gamma_sum=None, falling_sum=falling, stirling_beta=None)
+    fc = Fraction(fuss_catalan(args.m, args.k))  # so written as a "p/q" string like the rest
+    payload.update(fuss_catalan=fc, gap=falling - fc)
     return exit_code, [(args.output, payload)]
 
 
 def _cmd_beta(args: argparse.Namespace) -> _Result:
     report = beta_poly.beta_bounds_check(beta_poly.compute_beta(m=args.m, n=args.n, k=args.k))
-    rows = [
-        [str(row.r), str(row.beta), str(row.lower), str(row.upper), str(row.ok).lower()]
-        for row in report.rows
-    ]
     table = _Table(
-        {"m": args.m, "n": args.n, "k": args.k, "all_pass": str(report.all_ok).lower()},
+        {"m": args.m, "n": args.n, "k": args.k, "all_pass": report.all_ok},
         ["r", "beta", "lower_bound", "upper_bound", "pass"],
-        rows,
+        [[row.r, row.beta, row.lower, row.upper, row.ok] for row in report.rows],
     )
     return (0 if report.all_ok else 1), [(args.output, table)]
 
 
 def _cmd_dominance(args: argparse.Namespace) -> _Result:
     report = edge_analysis.dominance_report(m=args.m, n=args.n, k=args.k)
-    rows = []
-    for i, r in enumerate(report.r_values):
-        has_next = i < len(report.ratios)
-        rows.append(
-            [
-                str(r),
-                str(report.terms[i]),
-                str(report.ratios[i]) if has_next else "",
-                str(report.ratio_bounds[i]) if has_next else "",
-                str(report.ratio_ok[i]).lower() if has_next else "",
-            ]
-        )
+    # The last term has no successor: its ratio cells are left empty.
+    rows = itertools.zip_longest(
+        report.r_values, report.terms, report.ratios, report.ratio_bounds, report.ratio_ok
+    )
     table = _Table(
         {
             "m": args.m,
             "n": args.n,
             "k": args.k,
-            "first_term_share": _fmt_float(report.first_term_share),
-            "all_ratios_pass": str(report.all_ratios_ok).lower(),
+            "first_term_share": float(report.first_term_share),
+            "all_ratios_pass": report.all_ratios_ok,
         },
         ["r", "term", "ratio_to_next", "ratio_bound", "pass"],
         rows,
@@ -237,23 +241,12 @@ def _cmd_dominance(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_tailbound(args: argparse.Namespace) -> _Result:
-    rows = []
-    for n in args.n_grid:
-        summand = edge_analysis.tail_summand(args.m, n, args.z, w=args.w)
-        rows.append(
-            [
-                str(n),
-                str(summand.k_n),
-                str(summand.exact_bound),
-                _fmt_float(summand.log_exact),
-                _fmt_float(summand.log_surrogate),
-                _fmt_float(-2.0 * math.log(n)),
-            ]
-        )
+    summands = [edge_analysis.tail_summand(args.m, n, args.z, w=args.w) for n in args.n_grid]
     table = _Table(
-        {"m": args.m, "z": str(Fraction(args.z)), "w": "default" if args.w is None else _fmt_float(args.w)},
+        {"m": args.m, "z": args.z, "w": "default" if args.w is None else args.w},
         ["n", "k_n", "exact_bound", "log_exact", "log_surrogate", "minus_2_log_n"],
-        rows,
+        [[s.n, s.k_n, s.exact_bound, s.log_exact, s.log_surrogate, -2.0 * math.log(s.n)]
+         for s in summands],
     )
     return 0, [(args.output, table)]
 
@@ -279,7 +272,7 @@ def _cmd_simulate(args: argparse.Namespace) -> _Result:
         "field": args.field,
         "replicates": args.replicates,
         "edge": {
-            "u": str(u),
+            "u": u,
             "mean_s1sq": edge.mean_s1sq,
             "gap": float(u) - edge.mean_s1sq,
             "q05": edge.q05,
@@ -299,11 +292,11 @@ def _cmd_simulate(args: argparse.Namespace) -> _Result:
     def documents():
         # Lazily, so one replicate's file is written before the next is built.
         if args.replicate_csv is not None:
-            rows = ([str(r), _fmt_float(s1_sq)] for r, s1_sq in enumerate(spectra[:, 0]))
+            rows = enumerate(spectra[:, 0])
             yield args.replicate_csv, _Table(run_meta, ["replicate_index", "s1_sq"], rows)
         if args.spectrum_dir is not None:
             for r, spectrum in enumerate(spectra):
-                rows = ([str(i), _fmt_float(s)] for i, s in enumerate(spectrum, start=1))
+                rows = enumerate(spectrum, start=1)
                 path = str(Path(args.spectrum_dir) / f"spectrum_{r:06d}.csv")
                 yield path, _Table({**run_meta, "replicate_index": r}, ["rank", "s_sq"], rows)
         yield args.output, summary
@@ -313,16 +306,10 @@ def _cmd_simulate(args: argparse.Namespace) -> _Result:
 
 def _cmd_converge(args: argparse.Namespace) -> _Result:
     rows = montecarlo.convergence_table(args.m, args.n_grid, _run_config(args), field=args.field)
-    csv_rows = [
-        [str(row.n), _fmt_float(row.mean_s1sq), _fmt_float(row.gap),
-         _fmt_float(row.standard_error), str(row.replicates)]
-        for row in rows
-    ]
-    u = edge_analysis.edge_constant(args.m).u
     table = _Table(
-        {"m": args.m, "field": args.field, "u": str(u)},
+        {"m": args.m, "field": args.field, "u": edge_analysis.edge_constant(args.m).u},
         ["n", "mean_s1sq", "gap", "standard_error", "replicates"],
-        csv_rows,
+        map(dataclasses.astuple, rows),
     )
     return 0, [(args.output, table)]
 
@@ -422,6 +409,8 @@ def main(argv: list[str] | None = None) -> int:
             with _writer(path) as fh:
                 _render(args, doc, fh)
         return exit_code
+    except BrokenPipeError:
+        return 141  # the reader stopped early (`| head`): end quietly, as SIGPIPE would
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"ginprod: numerical failure: {exc}", file=sys.stderr)
         return 3

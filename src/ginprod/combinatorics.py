@@ -36,6 +36,14 @@ def _natural(name: str, value: int, minimum: int = 0) -> int:
     return value
 
 
+def _k_within_n(what: str, m: int, n: int, k: int) -> None:
+    """Check that m, n and k are ints >= 1, then that k <= n, the domain of ``what``."""
+    for name, value in (("m", m), ("n", n), ("k", k)):
+        _natural(name, value, 1)
+    if k > n:
+        raise ValueError(f"{what} requires k <= n, got k = {k}, n = {n}")
+
+
 def binomial(n: int, k: int) -> int:
     """C(n, k); 0 when k > n."""
     return comb(_natural("n", n), _natural("k", k))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .beta_poly import compute_beta
-from .combinatorics import _natural, binomial, stirling2
+from .combinatorics import _k_within_n, _natural, binomial, stirling2
 from .moment_engine import MomentQuery, moment_falling_sum
 
 __all__ = [
@@ -147,8 +147,7 @@ class DominanceReport:
 
 
 def dominance_report(m: int, n: int, k: int) -> DominanceReport:
-    if k > n:
-        raise ValueError(f"dominance_report requires k <= n, got k = {k}, n = {n}")
+    _k_within_n("dominance_report", m, n, k)
     bv = compute_beta(m, n, k)
     degree = bv.degree
     # Partition-number weights vanish above r = 0 when k = 1, so keep
@@ -202,8 +201,7 @@ class AsymptoticCheck:
 
 
 def beta_leading_asymptotic(m: int, k: int) -> AsymptoticCheck:
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    _natural("k", k, 2)
     n_ref = k**3
     exact = compute_beta(m, n_ref, k).coeffs[k - 1] / k
     mid = Fraction(binomial(k * (m + 1), k - 1), k)
@@ -222,8 +220,7 @@ def beta_leading_asymptotic(m: int, k: int) -> AsymptoticCheck:
 
 def markov_chain_bound(m: int, n: int, z, k: int) -> Fraction:
     """Explicit probability bound n G(m, n, k) / z^k for P(s_1^2 >= z)."""
-    if k > n:
-        raise ValueError(f"markov_chain_bound requires k <= n, got k = {k}, n = {n}")
+    _k_within_n("markov_chain_bound", m, n, k)
     g = moment_falling_sum(MomentQuery(m=m, n=n, k=k)).value
     return n * g / Fraction(z) ** k
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import prod
 
 from .beta_poly import compute_beta
-from .combinatorics import _natural, binomial, factorial, falling_factorial, fuss_catalan, stirling2
+from .combinatorics import _k_within_n, _natural, binomial, factorial, falling_factorial, fuss_catalan, stirling2
 
 __all__ = [
     "MomentQuery",
@@ -64,11 +64,6 @@ class MomentValue:
     scaled: Fraction
 
 
-def _require_k_le_n(q: MomentQuery, what: str) -> None:
-    if q.k > q.n:
-        raise ValueError(f"{what} requires k <= n, got k = {q.k}, n = {q.n}")
-
-
 def _as_moment_value(scaled: Fraction, q: MomentQuery) -> MomentValue:
     # Divide by n^(mk+1) exactly once, at the end.
     return MomentValue(value=scaled / Fraction(q.n) ** (q.m * q.k + 1), scaled=scaled)
@@ -84,7 +79,7 @@ def moment_gamma_sum(q: MomentQuery) -> MomentValue:
     product is still taken literally over integers, so its sign comes out
     of the arithmetic rather than a separate parity argument.
     """
-    _require_k_le_n(q, "moment_gamma_sum")
+    _k_within_n("moment_gamma_sum", q.m, q.n, q.k)
     m, n, k = q.m, q.n, q.k
     total = Fraction(0)
     for i in range(n - k, n):
@@ -100,7 +95,7 @@ def _gamma_sum_restricted(q: MomentQuery) -> MomentValue:
     Signs are (-1)^(n+1+i) here; kept as an independent code path so the
     sign bookkeeping of :func:`moment_gamma_sum` can be cross-validated.
     """
-    _require_k_le_n(q, "_gamma_sum_restricted")
+    _k_within_n("_gamma_sum_restricted", q.m, q.n, q.k)
     m, n, k = q.m, q.n, q.k
     total = sum(
         (-1) ** (n + 1 + i)
@@ -133,7 +128,7 @@ def moment_stirling_beta(q: MomentQuery) -> MomentValue:
     (1/k) sum_r q_r {r brace k-1}; the sum effectively starts at r = k-1
     because {r brace k-1} = 0 below that.
     """
-    _require_k_le_n(q, "moment_stirling_beta")
+    _k_within_n("moment_stirling_beta", q.m, q.n, q.k)
     m, n, k = q.m, q.n, q.k
     bv = compute_beta(m, n, k)
     degree = bv.degree
@@ -155,7 +150,7 @@ class CrossCheckReport:
 
 def moment_cross_check(q: MomentQuery) -> CrossCheckReport:
     """Evaluate all three formulations and compare as canonical rationals."""
-    _require_k_le_n(q, "moment_cross_check")
+    _k_within_n("moment_cross_check", q.m, q.n, q.k)
     gamma = moment_gamma_sum(q)
     falling = moment_falling_sum(q)
     stirling = moment_stirling_beta(q)
@@ -171,6 +166,5 @@ def moment_cross_check(q: MomentQuery) -> CrossCheckReport:
 
 def moment_limit_gap(m: int, k: int, n: int) -> Fraction:
     """Exact G(m, n, k) minus its n -> infinity limit, the Fuss-Catalan number."""
-    q = MomentQuery(m=m, n=n, k=k)
-    _require_k_le_n(q, "moment_limit_gap")
-    return moment_falling_sum(q).value - fuss_catalan(m, k)
+    _k_within_n("moment_limit_gap", m, n, k)
+    return moment_falling_sum(MomentQuery(m=m, n=n, k=k)).value - fuss_catalan(m, k)

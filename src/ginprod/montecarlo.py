@@ -224,8 +224,8 @@ def _hash(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
     return words ^ words >> 16
 
 
-def _seed_prefix(spec: GinibreSpec, master_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pool and the five hash constants that every replicate's seeding starts from.
+def _seed_prefix(spec: GinibreSpec, master_seed: int) -> tuple[np.random.SeedSequence, np.ndarray]:
+    """The sequence whose pool every replicate's seeding starts from, and the five hash constants.
 
     ``SeedSequence(master_seed, spawn_key=(n, m, field))`` mixes what
     ``replicate_rng``'s sequence mixes before r, so its pool is where that
@@ -235,8 +235,8 @@ def _seed_prefix(spec: GinibreSpec, master_seed: int) -> tuple[np.ndarray, np.nd
     key = (spec.n, spec.m, _FIELD_CODES[spec.field])
     key_words = sum(-(-max(word.bit_length(), 1) // 32) for word in key)
     start = _INIT_A * pow(_MULT_A, 16 + 4 * key_words, 2**32) % 2**32
-    pool = np.random.SeedSequence(master_seed, spawn_key=key).pool
-    return pool, np.cumprod([start, *[_MULT_A] * 4], dtype=np.uint32)
+    seq = np.random.SeedSequence(master_seed, spawn_key=key)
+    return seq, np.cumprod([start, *[_MULT_A] * 4], dtype=np.uint32)
 
 
 def _replicate_states(prefix: tuple, replicates: Sequence[int]) -> Iterator[dict]:
@@ -247,9 +247,9 @@ def _replicate_states(prefix: tuple, replicates: Sequence[int]) -> Iterator[dict
     then into ``generate_state(4, np.uint64)``'s eight. PCG64's seeding runs
     on Python ints. Every r must be below 2**32, a single entropy word.
     """
-    pool, consts = prefix
+    seq, consts = prefix
     r = np.asarray(replicates, dtype=np.uint32)[:, None]
-    pool = _MIX_MULT_L * pool - _MIX_MULT_R * _hash(r, consts)
+    pool = _MIX_MULT_L * seq.pool - _MIX_MULT_R * _hash(r, consts)
     pool ^= pool >> 16
     words = _hash(np.concatenate((pool, pool), axis=1), _STATE_CONSTS).astype(np.uint64)
     seeds = words[:, 0::2] | words[:, 1::2] << 32  # paired low word first
@@ -290,7 +290,8 @@ def _sample_batch(spec: GinibreSpec, prefix: tuple, batch: range) -> np.ndarray:
     squares misses ||W||_F^2, raises and names the failing replicate.
     """
     draws = np.empty((len(batch), *_draw_shape(spec)))
-    rng = np.random.Generator(np.random.PCG64())
+    # Seeded from the run's sequence, so no OS entropy is read; each replicate's state replaces it.
+    rng = np.random.Generator(np.random.PCG64(prefix[0]))
     states = _replicate_states(prefix, np.arange(batch.start, batch.stop))
     for i, state in enumerate(states):
         rng.bit_generator.state = state
@@ -409,18 +410,19 @@ def collect_spectra(spec: GinibreSpec, config: RunConfig) -> np.ndarray:
     """
     spectra = np.empty((config.replicates, spec.n))
     prefix = _seed_prefix(spec, config.master_seed)
+    failed = threading.Event()  # set by a batch that raised, so the batches after it are skipped
 
     def run(batch: range) -> None:
-        spectra[batch.start : batch.stop] = _sample_batch(spec, prefix, batch)
+        try:
+            if not failed.is_set():
+                spectra[batch.start : batch.stop] = _sample_batch(spec, prefix, batch)
+        except BaseException:
+            failed.set()
+            raise
 
     batches = _batches(spec, config)
-    with _one_blas_thread():
-        if config.workers == 1:
-            for batch in batches:
-                run(batch)
-        else:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                list(pool.map(run, batches))  # list() re-raises a worker's exception
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=config.workers) as pool:
+        list(pool.map(run, batches))  # list() re-raises a worker's exception
     return spectra
 
 

@@ -11,6 +11,9 @@ import os
 import re
 import shlex
 import stat
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -507,6 +510,22 @@ class TestOutputPath:
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
 
+    def test_output_fifo_whose_reader_left_ends_quietly(self, capsys, monkeypatch, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+
+        def open_then_lose_the_reader(file, *args, **kwargs):
+            fh = open(file, *args, **kwargs)
+            os.close(reader)
+            return fh
+
+        # Only the FIFO broke: stdout (here a capture without a file descriptor) is left alone.
+        monkeypatch.setattr(ginprod.cli, "open", open_then_lose_the_reader, raising=False)
+        code, out, err = run_cli(capsys, "dominance", "--m", "1", "--n", "500", "--k", "3",
+                                 "--output", str(fifo))
+        assert (code, out, err) == (141, "", "")
+
     def test_replaced_file_keeps_its_permission_bits(self, capsys, tmp_path):
         target = tmp_path / "edge.txt"
         target.write_text("old content\n")
@@ -565,3 +584,114 @@ def test_all_formulas_evaluates_the_falling_sum_once(capsys, monkeypatch):
     assert list(doc) == ["meta", "m", "n", "k", "gamma_sum", "falling_sum", "stirling_beta",
                          "agree", "fuss_catalan", "gap"]
     assert doc["falling_sum"] == doc["gamma_sum"] == doc["stirling_beta"]
+
+
+class TestValueFormat:
+    """The written form of values, pinned as literal documents."""
+
+    LITERAL = {
+        ("beta", "--m", "2", "--n", "5", "--k", "2"): """\
+# tool: ginprod
+# version: 0.1.0
+# invocation: ginprod beta --m 2 --n 5 --k 2
+# m: 2
+# n: 5
+# k: 2
+# all_pass: true
+r,beta,lower_bound,upper_bound,pass
+0,64/125,4096/15625,1,true
+1,432/125,6144/3125,6,true
+2,1212/125,768/125,15,true
+3,1809/125,256/25,20,true
+4,303/25,48/5,15,true
+5,27/5,24/5,6,true
+6,1,1,1,true
+""",
+        ("dominance", "--m", "1", "--n", "500", "--k", "3"): """\
+# tool: ginprod
+# version: 0.1.0
+# invocation: ginprod dominance --m 1 --n 500 --k 3
+# m: 1
+# n: 500
+# k: 3
+# first_term_share: 0.99201998718827689
+# all_ratios_pass: true
+r,term,ratio_to_next,ratio_bound,pass
+2,232504870501/3906250000000000,1863769491/232504870501,9/500,true
+3,1863769491/3906250000000000,26145091/7455077964,4/125,true
+4,26145091/15625000000000000,44910/26145091,1/20,true
+5,4491/1562500000000000,31/44910,9/125,true
+6,31/15625000000000000,,,
+""",
+        ("moments", "--m", "3", "--n", "6", "--k", "4", "--all-formulas"): """\
+{
+  "meta": {
+    "tool": "ginprod",
+    "version": "0.1.0",
+    "invocation": "ginprod moments --m 3 --n 6 --k 4 --all-formulas"
+  },
+  "m": 3,
+  "n": 6,
+  "k": 4,
+  "gamma_sum": "10248257/52488",
+  "falling_sum": "10248257/52488",
+  "stirling_beta": "10248257/52488",
+  "agree": true,
+  "fuss_catalan": "140",
+  "gap": "2899937/52488"
+}
+""",
+    }
+
+    @pytest.mark.parametrize("argv", sorted(LITERAL), ids=lambda argv: argv[0])
+    def test_document_is_written_literally(self, capsys, argv):
+        assert run_cli(capsys, *argv) == (0, self.LITERAL[argv], "")
+
+    def test_converge_floats_have_17_significant_digits(self, capsys):
+        argv = ("converge", "--m", "2", "--n-grid", "4,8", "--field", "complex",
+                "--replicates", "6", "--seed", "3", "--workers", "2")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        config = ginprod.montecarlo.RunConfig(replicates=6, master_seed=3, workers=2)
+        want = ginprod.montecarlo.convergence_table(2, [4, 8], config, field="complex")
+        _, _, rows = parse_csv(out)
+        assert rows == [
+            [str(row.n), *(format(v, ".17g") for v in (row.mean_s1sq, row.gap, row.standard_error)),
+             str(row.replicates)]
+            for row in want
+        ]
+
+    @pytest.mark.parametrize("value, written", [
+        (True, "true"), (False, "false"), (7, "7"), ("text", "text"), (Fraction(-3, 4), "-3/4"),
+        (0.1, "0.10000000000000001"), (np.float64(2.5), "2.5"), (None, ""),
+    ])
+    def test_cell(self, value, written):
+        assert ginprod.cli._cell(value) == written
+
+    @pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), 1j, [1]])
+    def test_cell_refuses_other_types(self, value):
+        with pytest.raises(TypeError):
+            ginprod.cli._cell(value)
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("argv", [
+    ["edge", "--m", "2"],
+    ["simulate", "--m", "1", "--n", "1", "--replicates", "3", "--seed", "9",
+     "--replicate-csv", "/dev/stdout"],
+], ids=["stdout", "file-on-stdout"])
+def test_closed_stdout_ends_quietly(buffered, argv):
+    # The reader of stdout is gone before the first write (`ginprod ... | head`):
+    # the run ends with SIGPIPE's shell status and prints nothing, not even at exit.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(ginprod.cli.__file__).parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, *([] if buffered else ["-u"]), "-m", "ginprod.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")

@@ -21,8 +21,15 @@ from ginprod.combinatorics import (
     stirling2,
     stirling2_alternating,
 )
-from ginprod.edge_analysis import edge_constant
-from ginprod.moment_engine import MomentQuery
+from ginprod.edge_analysis import beta_leading_asymptotic, dominance_report, edge_constant, markov_chain_bound
+from ginprod.moment_engine import (
+    MomentQuery,
+    _gamma_sum_restricted,
+    moment_cross_check,
+    moment_gamma_sum,
+    moment_limit_gap,
+    moment_stirling_beta,
+)
 from ginprod.montecarlo import GinibreSpec, RunConfig
 
 
@@ -202,3 +209,36 @@ def test_bool_is_rejected_at_every_entry_point(call):
     # One integer check serves the whole package: a bool is never a size or order.
     with pytest.raises(TypeError):
         call()
+
+
+# Each exact entry point that needs k <= n, called as (m, n, k); those that
+# take a MomentQuery get one built from the three values.
+_K_WITHIN_N = {
+    "compute_beta": compute_beta,
+    "moment_gamma_sum": lambda m, n, k: moment_gamma_sum(MomentQuery(m, n, k)),
+    "_gamma_sum_restricted": lambda m, n, k: _gamma_sum_restricted(MomentQuery(m, n, k)),
+    "moment_stirling_beta": lambda m, n, k: moment_stirling_beta(MomentQuery(m, n, k)),
+    "moment_cross_check": lambda m, n, k: moment_cross_check(MomentQuery(m, n, k)),
+    "moment_limit_gap": lambda m, n, k: moment_limit_gap(m, k, n),
+    "dominance_report": dominance_report,
+    "markov_chain_bound": lambda m, n, k: markov_chain_bound(m, n, 5, k),
+}
+
+
+@pytest.mark.parametrize("what", sorted(_K_WITHIN_N))
+def test_k_within_n_is_checked_alike_everywhere(what):
+    # Types and lower bounds come first, so a bad n is never blamed on k <= n.
+    call = _K_WITHIN_N[what]
+    with pytest.raises(TypeError, match="^n must be an int, got float$"):
+        call(1, 2.5, 3)
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+        call(1, 0, 1)
+    with pytest.raises(ValueError, match=f"^{what} requires k <= n, got k = 5, n = 2$"):
+        call(1, 2, 5)
+
+
+def test_asymptotic_check_names_a_float_k():
+    with pytest.raises(TypeError, match="^k must be an int, got float$"):
+        beta_leading_asymptotic(1, 2.0)
+    with pytest.raises(ValueError, match="^k must be >= 2, got 1$"):
+        beta_leading_asymptotic(1, 1)

@@ -267,6 +267,19 @@ class TestSeeding:
         assert len(used) == 5 and all(prefix is derived[0] for prefix in used)
         assert np.array_equal(spectra, np.vstack([_reference_spectrum(spec, r) for r in range(5)]))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sampling_reads_no_os_entropy(self, monkeypatch, workers):
+        # numpy gathers OS entropy only for an unseeded generator; every batch's
+        # generator is seeded from the run's own sequence.
+        def no_entropy(*args):
+            raise AssertionError("read OS entropy while sampling")
+
+        spec = GinibreSpec(n=4, m=2, field="complex")
+        monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", 2 * _replicate_bytes(spec))
+        want = np.vstack([_reference_spectrum(spec, r) for r in range(5)])
+        monkeypatch.setattr(np.random.bit_generator, "randbits", no_entropy)
+        assert np.array_equal(_spectra(spec, 5, workers), want)
+
     def test_worker_count_never_changes_results(self):
         spec = GinibreSpec(n=12, m=2, field="complex")
         one = collect_spectra(spec, RunConfig(replicates=40, master_seed=SEED, workers=1))
