@@ -4,30 +4,47 @@ The coefficient of x^r is written beta_r throughout the package. Provided
 k <= n all roots of P are negative with magnitude in [1 - (k-1)/n, 1],
 which pins each beta_r between C(k(m+1), r) (1 - (k-1)/n)^(k(m+1)-r) and
 C(k(m+1), r); :func:`beta_bounds_check` verifies the sandwich exactly.
+
+The stored form is the cleared integers q_r = beta_r n^(k(m+1)-r), the
+coefficients of Q(y) = prod (n - i + y)^(m+1). The bound check and the
+moment sums work on them directly; the ``Fraction`` values beta_r and the
+bound table's rows are built on first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import comb
 
-from .combinatorics import _k_within_n, binomial
+from .combinatorics import _k_within_n
 
 __all__ = ["BetaVector", "BetaBoundRow", "BetaBoundsReport", "compute_beta", "beta_bounds_check", "beta_ratio"]
 
 
 @dataclass(frozen=True)
 class BetaVector:
-    """Coefficients beta_0 .. beta_{k(m+1)} of P, exact and monic."""
+    """Coefficients beta_0 .. beta_{k(m+1)} of P, exact and monic.
+
+    ``cleared`` holds q_r = beta_r n^(k(m+1)-r), all integers;
+    ``coeffs`` holds the beta_r themselves, built from them on first read.
+    """
 
     m: int
     n: int
     k: int
-    coeffs: tuple[Fraction, ...]
+    cleared: tuple[int, ...]
 
     @property
     def degree(self) -> int:
         return self.k * (self.m + 1)
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        degree = self.degree
+        return tuple(Fraction(q, self.n ** (degree - r)) for r, q in enumerate(self.cleared))
 
 
 @dataclass(frozen=True)
@@ -41,58 +58,77 @@ class BetaBoundRow:
 
 @dataclass(frozen=True)
 class BetaBoundsReport:
+    """Outcome of :func:`beta_bounds_check`; ``rows`` are built on first read."""
+
     m: int
     n: int
     k: int
-    rows: tuple[BetaBoundRow, ...]
     all_ok: bool
+    vector: BetaVector = field(repr=False)
+
+    @cached_property
+    def rows(self) -> tuple[BetaBoundRow, ...]:
+        """One row per r with the exact Fraction bounds and coefficient."""
+        bv = self.vector
+        rows = [
+            BetaBoundRow(
+                r=r,
+                lower=Fraction(lower, scale),
+                beta=bv.coeffs[r],
+                upper=Fraction(upper, scale),
+                ok=lower <= bv.cleared[r] <= upper,
+            )
+            for r, lower, upper, scale in _cleared_bounds(bv)
+        ]
+        rows.reverse()
+        return tuple(rows)
 
 
 def compute_beta(m: int, n: int, k: int) -> BetaVector:
-    """Expand P by repeated convolution with its linear factors.
+    """Expand Q(y) = prod (n - i + y)^(m+1) by repeated convolution with its linear factors.
 
-    Internally works with the denominator cleared: Q(y) = prod (n - i + y)^(m+1)
-    has integer coefficients q_r, and beta_r = q_r / n^(k(m+1)-r). Each linear
-    factor (n - i + y) is applied m+1 times, so this is the plain iterated
-    polynomial multiplication, just over integers.
+    Q has integer coefficients q_r, and beta_r = q_r / n^(k(m+1)-r). Each
+    linear factor (n - i + y) is applied m+1 times, so this is the plain
+    iterated polynomial multiplication, over integers.
     """
     _k_within_n("compute_beta", m, n, k)
     q = [1]
     for i in range(k):
         c = n - i
         for _ in range(m + 1):
-            nxt = [0] * (len(q) + 1)
-            for j, coeff in enumerate(q):
-                nxt[j] += c * coeff
-                nxt[j + 1] += coeff
-            q = nxt
-    degree = k * (m + 1)
-    coeffs = tuple(Fraction(q[r], n ** (degree - r)) for r in range(degree + 1))
-    return BetaVector(m=m, n=n, k=k, coeffs=coeffs)
+            q = [c * a + b for a, b in zip(q + [0], [0] + q)]
+    return BetaVector(m=m, n=n, k=k, cleared=tuple(q))
+
+
+def _cleared_bounds(bv: BetaVector) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (r, lower, upper, scale) for r = N down to 0, N = k(m+1).
+
+    lower = C(N,r) (n-k+1)^(N-r) and upper = C(N,r) n^(N-r) bound q_r; they
+    are the Fraction bounds on beta_r multiplied by scale = n^(N-r) > 0.
+    Walking r downward accumulates both powers one multiply at a time.
+    """
+    degree = bv.degree
+    base = bv.n - bv.k + 1
+    lower_power = scale = 1
+    for r in range(degree, -1, -1):
+        c = comb(degree, r)
+        yield r, c * lower_power, c * scale, scale
+        lower_power *= base
+        scale *= bv.n
 
 
 def beta_bounds_check(bv: BetaVector) -> BetaBoundsReport:
-    """Exact two-sided check C(N,r) rho^(N-r) <= beta_r <= C(N,r), rho = 1 - (k-1)/n."""
-    degree = bv.degree
-    rho = Fraction(bv.n - bv.k + 1, bv.n)
-    rows = []
-    all_ok = True
-    # Walk r downward so rho^(N-r) can be accumulated one multiply at a time.
-    power = Fraction(1)
-    for r in range(degree, -1, -1):
-        upper = Fraction(binomial(degree, r))
-        lower = upper * power
-        beta = bv.coeffs[r]
-        ok = lower <= beta <= upper
-        all_ok = all_ok and ok
-        rows.append(BetaBoundRow(r=r, lower=lower, beta=beta, upper=upper, ok=ok))
-        power *= rho
-    rows.reverse()
-    return BetaBoundsReport(m=bv.m, n=bv.n, k=bv.k, rows=tuple(rows), all_ok=all_ok)
+    """Exact two-sided check C(N,r) rho^(N-r) <= beta_r <= C(N,r), rho = 1 - (k-1)/n.
+
+    Decided on the cleared integers, the same sandwich multiplied through
+    by n^(N-r) > 0: C(N,r) (n-k+1)^(N-r) <= q_r <= C(N,r) n^(N-r).
+    """
+    all_ok = all(lower <= bv.cleared[r] <= upper for r, lower, upper, _ in _cleared_bounds(bv))
+    return BetaBoundsReport(m=bv.m, n=bv.n, k=bv.k, all_ok=all_ok, vector=bv)
 
 
 def beta_ratio(bv: BetaVector, r: int) -> Fraction:
-    """Exact ratio beta_{r+1} / beta_r for 0 <= r < k(m+1)."""
+    """Exact ratio beta_{r+1} / beta_r = n q_{r+1} / q_r for 0 <= r < k(m+1)."""
     if not 0 <= r < bv.degree:
         raise IndexError(f"r must be in [0, {bv.degree - 1}], got {r}")
-    return bv.coeffs[r + 1] / bv.coeffs[r]
+    return Fraction(bv.n * bv.cleared[r + 1], bv.cleared[r])

@@ -113,6 +113,25 @@ def _render(args: argparse.Namespace, doc: str | dict | _Table, fh: TextIO) -> N
         writer.writerows(map(_cell, row) for row in doc.rows)
 
 
+@contextmanager
+def _any_int_digits() -> Iterator[None]:
+    """Lift Python's limit on the digits of an int written as text, then restore it.
+
+    Exact values are written in full: the terms of ``dominance --m 3 --n
+    100000 --k 250`` have numerators past the default 4300 digits.
+    Interpreters older than 3.10.7 have no such limit, and nothing to lift.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _replaced(path: str) -> bool:
     """Whether ``path`` is written atomically: it does not exist yet or is a plain regular file.
 
@@ -405,9 +424,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_destinations(args)
         exit_code, documents = args.func(args)
-        for path, doc in documents:
-            with _writer(path) as fh:
-                _render(args, doc, fh)
+        with _any_int_digits():
+            for path, doc in documents:
+                with _writer(path) as fh:
+                    _render(args, doc, fh)
         return exit_code
     except BrokenPipeError:
         return 141  # the reader stopped early (`| head`): end quietly, as SIGPIPE would

@@ -9,7 +9,7 @@ equality of values is equality of representations.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import threading
 from math import comb, factorial as _factorial, perm
 
 __all__ = [
@@ -64,23 +64,39 @@ def falling_factorial(x: int, k: int) -> int:
     return perm(_natural("x", x), _natural("k", k))
 
 
-@lru_cache(maxsize=None)
-def _stirling2_rec(n: int, k: int) -> int:
-    if n == 0 and k == 0:
-        return 1
-    if k == 0 or k > n:
-        return 0
-    return k * _stirling2_rec(n - 1, k) + _stirling2_rec(n - 1, k - 1)
+#: The memo of :func:`stirling2`: column j holds {j + i brace j} for
+#: i = 0, 1, ..., each column as deep as the deepest request has needed.
+_STIRLING2_COLUMNS: list[list[int]] = []
+_STIRLING2_LOCK = threading.Lock()
 
 
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind {n brace k}.
 
     Counts partitions of an n-set into k non-empty blocks, computed by the
-    memoized recurrence {n brace k} = k {n-1 brace k} + {n-1 brace k-1}
-    with {0 brace 0} = 1. Zero for k > n and for n > 0, k = 0.
+    triangular recurrence {n brace k} = k {n-1 brace k} + {n-1 brace k-1}
+    with {0 brace 0} = 1. Zero for k > n and for n > 0, k = 0. The
+    recurrence is filled iteratively, over columns 0 .. k and rows down to
+    n only, into a memo shared by all calls.
     """
-    return _stirling2_rec(_natural("n", n), _natural("k", k))
+    _natural("n", n)
+    _natural("k", k)
+    if k > n:
+        return 0
+    depth = n - k  # {n brace k} sits at depth n - k of column k
+    columns = _STIRLING2_COLUMNS
+    if k < len(columns) and depth < len(columns[k]):
+        return columns[k][depth]
+    with _STIRLING2_LOCK:
+        for j in range(k + 1):
+            if j == len(columns):
+                columns.append([1])  # {j brace j} = 1
+            column = columns[j]
+            # {j + i brace j} = j {j + i - 1 brace j} + {j + i - 1 brace j - 1};
+            # column 0 is 1, 0, 0, ...
+            for i in range(len(column), depth + 1):
+                column.append(j * column[i - 1] + columns[j - 1][i] if j else 0)
+        return columns[k][depth]
 
 
 def stirling2_alternating(n: int, k: int) -> int:

@@ -149,36 +149,35 @@ class DominanceReport:
 def dominance_report(m: int, n: int, k: int) -> DominanceReport:
     _k_within_n("dominance_report", m, n, k)
     bv = compute_beta(m, n, k)
-    degree = bv.degree
-    # Partition-number weights vanish above r = 0 when k = 1, so keep
-    # only the orders that actually contribute to the sum.
+    # t_r = q_r {r brace k-1} / n^N over the cleared coefficients q_r, so
+    # every term shares the denominator n^N and is worked on as its
+    # integer numerator. Partition-number weights vanish above r = 0 when
+    # k = 1, so keep only the orders that actually contribute to the sum.
     r_values = []
-    terms = []
-    n_pow = Fraction(1, n) ** (k - 1)
-    for r in range(k - 1, degree + 1):
+    nums = []
+    for r in range(k - 1, bv.degree + 1):
         weight = stirling2(r, k - 1)
         if weight:
             r_values.append(r)
-            terms.append(bv.coeffs[r] * weight * n_pow)
-        n_pow /= n
+            nums.append(bv.cleared[r] * weight)
     r_values = tuple(r_values)
-    ratios = tuple(terms[i + 1] / terms[i] for i in range(len(terms) - 1))
+    denominator = n**bv.degree
+    ratios = tuple(Fraction(nums[i + 1], nums[i]) for i in range(len(nums) - 1))
     bounds = tuple(
         Fraction((m + 1) * (r + 1) ** 2, 2 * n) for r in r_values[:-1]
     )
     ok = tuple(ratio < bound for ratio, bound in zip(ratios, bounds))
-    total = sum(terms, Fraction(0))
     return DominanceReport(
         m=m,
         n=n,
         k=k,
         r_values=r_values,
-        terms=tuple(terms),
+        terms=tuple(Fraction(num, denominator) for num in nums),
         ratios=ratios,
         ratio_bounds=bounds,
         ratio_ok=ok,
         all_ratios_ok=all(ok),
-        first_term_share=terms[0] / total,
+        first_term_share=Fraction(nums[0], sum(nums)),
     )
 
 
@@ -203,7 +202,8 @@ class AsymptoticCheck:
 def beta_leading_asymptotic(m: int, k: int) -> AsymptoticCheck:
     _natural("k", k, 2)
     n_ref = k**3
-    exact = compute_beta(m, n_ref, k).coeffs[k - 1] / k
+    bv = compute_beta(m, n_ref, k)
+    exact = Fraction(bv.cleared[k - 1], k * n_ref ** (bv.degree - (k - 1)))
     mid = Fraction(binomial(k * (m + 1), k - 1), k)
     u = float(edge_constant(m).u)
     closed = math.sqrt((m + 1) / (2.0 * math.pi * m**3)) * u**k / k**1.5

@@ -129,13 +129,9 @@ def moment_stirling_beta(q: MomentQuery) -> MomentValue:
     because {r brace k-1} = 0 below that.
     """
     _k_within_n("moment_stirling_beta", q.m, q.n, q.k)
-    m, n, k = q.m, q.n, q.k
-    bv = compute_beta(m, n, k)
-    degree = bv.degree
-    total = 0
-    for r in range(k - 1, degree + 1):
-        q_r = bv.coeffs[r] * n ** (degree - r)  # integer-valued by construction
-        total += int(q_r) * stirling2(r, k - 1)
+    k = q.k
+    cleared = compute_beta(q.m, q.n, k).cleared
+    total = sum(cleared[r] * stirling2(r, k - 1) for r in range(k - 1, len(cleared)))
     return _as_moment_value(Fraction(total, k), q)
 
 

@@ -6,11 +6,11 @@ the implementation.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
-from ginprod.beta_poly import BetaVector, beta_bounds_check, beta_ratio, compute_beta
+from ginprod.beta_poly import BetaBoundRow, BetaVector, beta_bounds_check, beta_ratio, compute_beta
 
 
 def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -107,6 +107,58 @@ class TestBounds:
             report = beta_bounds_check(compute_beta(m, 6, 1))
             for row in report.rows:
                 assert row.beta == row.upper == row.lower
+
+
+class TestClearedIntegers:
+    # Identities of Q(y) = prod_{i<k} (n - i + y)^(m+1) that need no
+    # convolution, at the size of the dominance table's largest point.
+    M, N, K = 3, 10**5, 100
+
+    def test_sum_is_value_at_one(self):
+        bv = compute_beta(self.M, self.N, self.K)
+        want = 1
+        for i in range(self.K):
+            want *= (self.N - i + 1) ** (self.M + 1)
+        assert sum(bv.cleared) == want
+
+    def test_endpoints(self):
+        bv = compute_beta(self.M, self.N, self.K)
+        assert len(bv.cleared) == bv.degree + 1
+        # q_0 = (n! / (n-k)!)^(m+1), the product of the roots' magnitudes.
+        assert bv.cleared[0] == prod(range(self.N - self.K + 1, self.N + 1)) ** (self.M + 1)
+        assert bv.cleared[-1] == 1
+
+    @pytest.mark.parametrize("m, n, k", [(2, 5, 3), (2, 6, 6), (1, 12, 12)])
+    def test_lazy_fractions_equal_eager_ones(self, m, n, k):
+        # The Fractions a reader sees, built on first read from the cleared
+        # integers, equal the direct Fraction expansion and the bounds built
+        # from rho = 1 - (k-1)/n.
+        bv = compute_beta(m, n, k)
+        coeffs = _beta_oracle(m, n, k)
+        assert bv.coeffs == coeffs
+        assert bv.cleared == tuple(c * n ** (bv.degree - r) for r, c in enumerate(coeffs))
+        report = beta_bounds_check(bv)
+        rho = Fraction(n - k + 1, n)
+        want = []
+        for r, beta in enumerate(coeffs):
+            upper = Fraction(comb(bv.degree, r))
+            lower = upper * rho ** (bv.degree - r)
+            want.append(BetaBoundRow(r=r, lower=lower, beta=beta, upper=upper, ok=lower <= beta <= upper))
+        assert report.rows == tuple(want)
+        assert report.all_ok and all(row.ok for row in report.rows)
+
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_integer_check_sees_one_unit_past_a_bound(self, step):
+        # q_r one past C(N,r) n^(N-r) (step 1) or one short of
+        # C(N,r) (n-k+1)^(N-r) (step -1) fails; exactly at the bound passes.
+        m, n, k, r = 2, 5, 3, 4
+        bv = compute_beta(m, n, k)
+        edge = comb(bv.degree, r) * (n if step > 0 else n - k + 1) ** (bv.degree - r)
+        for value, ok in ((edge, True), (edge + step, False)):
+            cleared = bv.cleared[:r] + (value,) + bv.cleared[r + 1 :]
+            report = beta_bounds_check(BetaVector(m=m, n=n, k=k, cleared=cleared))
+            assert report.all_ok is ok
+            assert [row.r for row in report.rows if not row.ok] == ([] if ok else [r])
 
 
 class TestRatio:

@@ -21,6 +21,7 @@ import pytest
 
 import ginprod.cli
 import ginprod.combinatorics
+import ginprod.edge_analysis
 import ginprod.moment_engine
 import ginprod.montecarlo
 from ginprod.cli import main
@@ -139,6 +140,25 @@ class TestDominanceCommand:
         assert float(meta["first_term_share"]) > 0.9
         assert rows[0][0] == "2"  # terms start at r = k - 1
         assert rows[-1][2] == ""  # last term has no successor
+
+    def test_exact_values_of_any_size_are_written(self, capsys):
+        # Numerators past Python's default 4300-digit limit on int-to-text
+        # conversion are written in full, and the limit is back afterwards.
+        # Interpreters older than 3.10.7 have no limit.
+        get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        limit = get_limit()
+        code, out, err = run_cli(capsys, "dominance", "--m", "3", "--n", "100000", "--k", "250")
+        assert (code, err) == (0, "")
+        assert get_limit() == limit
+        report = ginprod.edge_analysis.dominance_report(m=3, n=100000, k=250)
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            _, _, rows = parse_csv(out)
+            assert [Fraction(row[1]) for row in rows] == list(report.terms)
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
 
 
 class TestTailboundCommand:

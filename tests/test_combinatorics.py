@@ -5,13 +5,21 @@ numbers are checked against brute-force enumeration of set partitions,
 and Fuss-Catalan numbers against a recursive count of (m+1)-ary trees.
 """
 
+import os
+import random
+import subprocess
+import sys
+import threading
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ginprod
+import ginprod.combinatorics
 from ginprod.beta_poly import compute_beta
 from ginprod.combinatorics import (
     binomial,
@@ -163,6 +171,53 @@ class TestStirling2:
                 ratio = Fraction(stirling2(r + 1, c), stirling2(r, c))
                 assert ratio == c + Fraction(stirling2(r, c - 1), stirling2(r, c))
                 assert ratio <= Fraction(r * (r + 1), 2)
+
+    def test_deep_orders_from_a_cold_memo(self):
+        # A fresh interpreter, so the memo is empty: a recursive fill would
+        # exceed the interpreter's recursion limit here.
+        code = (
+            "from ginprod.combinatorics import stirling2, stirling2_alternating\n"
+            "from ginprod.edge_analysis import dominance_report\n"
+            "assert stirling2(1200, 5) == stirling2_alternating(1200, 5)\n"
+            "print(len(dominance_report(1, 10**6, 600).terms))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(ginprod.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        assert (done.returncode, done.stderr, done.stdout) == (0, "", "602\n")
+
+    def test_concurrent_fills_of_a_cold_memo_agree(self, monkeypatch):
+        # More threads than cores fill an empty memo at once, switching often,
+        # each asking for deep points in its own order: a lost or doubled entry
+        # would shift a column and give wrong values. Without the lock about
+        # four in ten rounds go wrong.
+        points = random.Random(0).sample([(n, k) for n in range(300) for k in range(n + 1)], 400)
+        monkeypatch.setattr(ginprod.combinatorics, "_STIRLING2_COLUMNS", [])
+        want = {point: stirling2(*point) for point in points}
+        results, errors = [], []
+
+        def fill(start, order):
+            try:
+                start.wait(timeout=60)
+                results.append({point: stirling2(*point) for point in order})
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(20):
+                monkeypatch.setattr(ginprod.combinatorics, "_STIRLING2_COLUMNS", [])
+                start = threading.Barrier(8)
+                orders = [random.Random(8 * round_ + i).sample(points, len(points)) for i in range(8)]
+                threads = [threading.Thread(target=fill, args=(start, order)) for order in orders]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads) and not errors
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 20 * 8 and all(result == want for result in results)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

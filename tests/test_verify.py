@@ -1,7 +1,11 @@
 """Unit tests for the identity-suite runner."""
 
+from fractions import Fraction
+from math import comb
+
 import pytest
 
+import ginprod.beta_poly
 import ginprod.combinatorics
 import ginprod.moment_engine
 from ginprod.verify import PROFILES, run_verify
@@ -66,3 +70,29 @@ class TestFaultInjection:
         assert not report.ok
         cross = next(s for s in report.suites if s.name == "cross_formula")
         assert any(f.point == (1, 5, 2) for f in cross.failures)
+
+    def test_corrupted_beta_is_caught(self, monkeypatch):
+        # One cleared coefficient one unit above its upper bound
+        # C(N, r) n^(N-r): the bound suite names (m, n, k, r) and prints the
+        # failing row's exact bounds.
+        m, n, k, r = 2, 5, 3, 4
+        real = ginprod.beta_poly.compute_beta
+
+        def corrupted(**point):
+            bv = real(**point)
+            if (bv.m, bv.n, bv.k) != (m, n, k):
+                return bv
+            cleared = list(bv.cleared)
+            cleared[r] = comb(bv.degree, r) * n ** (bv.degree - r) + 1
+            return ginprod.beta_poly.BetaVector(m=m, n=n, k=k, cleared=tuple(cleared))
+
+        monkeypatch.setattr(ginprod.beta_poly, "compute_beta", corrupted)
+        report = run_verify("quick")
+        assert not report.ok
+        bounds = next(s for s in report.suites if s.name == "beta_bounds")
+        assert [f.point for f in bounds.failures] == [(m, n, k, r)]
+        degree = (m + 1) * k
+        upper = comb(degree, r)
+        lower = upper * Fraction(n - k + 1, n) ** (degree - r)
+        assert f"[{lower}, {upper}]" in bounds.failures[0].message
+        assert report.as_dict()["ok"] is False
