@@ -39,6 +39,17 @@ from its own stream, and the batch shares one stacked matmul per factor,
 one stacked SVD and one vectorised consistency check. Every operation
 acts on each replicate's slice exactly as it would on that replicate
 alone, so neither the batch size nor the worker count changes a bit.
+With more than one worker a batch holds at least
+``SVD_GIL_THRESHOLD // n + 1`` replicates, where the per-worker share
+allows, because numpy's stacked SVD releases the GIL only when stack
+size x n exceeds 500 (``NPY_BEGIN_THREADS_THRESHOLDED`` in
+``numpy/_core/include/numpy/ndarraytypes.h``); smaller batches would make
+the workers take turns at their decompositions. The floor can exceed the
+byte budget: a batch then holds at most about 4 MB x m x parts of draws
+(parts is 2 for complex entries), reached at n = 500. One-worker runs
+keep the byte-bounded batches. A run with fewer replicates than twice
+the floor gets batches below it, whose decompositions still hold the
+GIL and so run one at a time.
 
 The streams are derived in bulk: once per run, numpy's own
 ``SeedSequence(master_seed, spawn_key=(n, m, field))`` mixes the run's
@@ -90,8 +101,17 @@ WORKERS_ENV_VAR = "GINPROD_WORKERS"
 SVD_CONSISTENCY_RTOL = 1e-8
 
 #: Most bytes of Gaussian draws and seeding one batch of replicates holds
-#: at once. A replicate whose share alone exceeds it is sampled in a batch of one.
+#: at once. A replicate whose share alone exceeds it is sampled in a batch of
+#: one. Runs with more than one worker may exceed it, up to about
+#: 4 MB x m x parts of draws per batch, to reach the floor of
+#: ``SVD_GIL_THRESHOLD // n + 1`` replicates (see :func:`_batches`).
 BATCH_DRAW_BYTES = 1 << 20
+
+#: numpy's stacked ``np.linalg.svd`` releases the GIL only for a loop of more
+#: than this many elements, stack size times n: ``NPY_BEGIN_THREADS_THRESHOLDED``
+#: in ``numpy/_core/include/numpy/ndarraytypes.h``. Smaller batches hold the GIL
+#: through their whole decomposition, so worker threads would take turns.
+SVD_GIL_THRESHOLD = 500
 
 #: Peak bytes one replicate adds while its batch's streams are derived (hash
 #: and state words, Python ints): about 410 measured with ``ru_maxrss``, rounded up.
@@ -307,7 +327,8 @@ def _sample_batch(spec: GinibreSpec, prefix: tuple, batch: range) -> np.ndarray:
             f"SVD failed for spec {spec} in replicates {batch.start}..{batch.stop - 1}: {exc}"
         ) from exc
     squared = singular**2
-    frob = np.sum(np.abs(product) ** 2, axis=(1, 2))
+    flat = product.reshape(len(batch), -1).view(np.float64)  # real and imaginary parts side by side
+    frob = np.einsum("ij,ij->i", flat, flat)
     nonfinite = ~np.isfinite(squared).all(axis=1)
     if nonfinite.any():
         i = int(np.argmax(nonfinite))
@@ -324,14 +345,26 @@ def _sample_batch(spec: GinibreSpec, prefix: tuple, batch: range) -> np.ndarray:
 
 
 def _batches(spec: GinibreSpec, config: RunConfig) -> list[range]:
-    """Consecutive replicate ranges, each within BATCH_DRAW_BYTES of draws and seeding.
+    """Consecutive replicate ranges, each within BATCH_DRAW_BYTES of draws and seeding
+    unless the floor below needs more.
 
     A batch also holds at most ceil(replicates / workers) replicates, so
-    every worker gets a share.
+    every worker gets a share. With more than one worker it holds at least
+    SVD_GIL_THRESHOLD // n + 1 replicates, capped at that share: numpy's
+    stacked SVD releases the GIL only when stack size x n exceeds
+    SVD_GIL_THRESHOLD (``NPY_BEGIN_THREADS_THRESHOLDED``, in numpy's
+    ``ndarraytypes.h``), so smaller batches would serialise the workers'
+    decompositions. The floor may exceed the byte budget, up to about
+    4 MB x m x parts of draws at n = 500. One-worker runs keep the
+    byte-bounded batches. A run of fewer than twice the floor's replicates
+    gets batches below the floor, whose decompositions still hold the GIL.
     """
     draw_bytes = math.prod(_draw_shape(spec)) * np.dtype(np.float64).itemsize
+    size = BATCH_DRAW_BYTES // (draw_bytes + SEED_BYTES)
+    if config.workers > 1:
+        size = max(size, SVD_GIL_THRESHOLD // spec.n + 1)
     per_worker = -(-config.replicates // config.workers)
-    size = max(1, min(BATCH_DRAW_BYTES // (draw_bytes + SEED_BYTES), per_worker))
+    size = max(1, min(size, per_worker))
     return [
         range(start, min(start + size, config.replicates))
         for start in range(0, config.replicates, size)

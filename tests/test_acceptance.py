@@ -204,6 +204,10 @@ for n in (128, 256, 384):
 """
 
 
+def _batch_sizes(spec, config):
+    return [len(batch) for batch in montecarlo._batches(spec, config)]
+
+
 def test_criterion_11_bitwise_reproducibility(monkeypatch):
     failures = []
     # The same bits in child interpreters started at one and at two BLAS threads.
@@ -217,18 +221,41 @@ def test_criterion_11_bitwise_reproducibility(monkeypatch):
                                env=env, capture_output=True, text=True, check=True)
         if child.stdout.strip() != want:
             failures.append(("OPENBLAS_NUM_THREADS", threads))
-    for m, n, field in [(1, 32, "real"), (2, 16, "complex")]:
+    # Batch size of every run, by worker count, at each byte budget: one
+    # replicate's share, five replicates' (64 leaves a ragged last batch) and
+    # the default. One worker follows the budget. More workers hold at least
+    # 500 // n + 1 replicates (16 at n = 32, 32 at n = 16), so numpy's stacked
+    # SVD releases the GIL, capped at the per-worker share (32 at two
+    # workers, 8 at eight).
+    sizes = {
+        (1, 32, "real"): {1: (1, 5, 64), 2: (16, 16, 32), 8: (8, 8, 8)},
+        (2, 16, "complex"): {1: (1, 5, 64), 2: (32, 32, 32), 8: (8, 8, 8)},
+    }
+    for (m, n, field), by_workers in sizes.items():
         spec = GinibreSpec(n=n, m=m, field=field)
         # One replicate's share of the batch budget: its draws and its seeding.
         replicate_bytes = m * (1 if field == "real" else 2) * n * n * 8 + montecarlo.SEED_BYTES
         reference = collect_spectra(spec, RunConfig(replicates=64, master_seed=SEED, workers=1))
-        # Batches of one replicate, of five (64 leaves a ragged last batch),
-        # and the default size.
-        for batch_bytes in (replicate_bytes, 5 * replicate_bytes, montecarlo.BATCH_DRAW_BYTES):
+        budgets = (replicate_bytes, 5 * replicate_bytes, montecarlo.BATCH_DRAW_BYTES)
+        for i, batch_bytes in enumerate(budgets):
             monkeypatch.setattr(montecarlo, "BATCH_DRAW_BYTES", batch_bytes)
             for w in (1, 2, 8):
-                run = collect_spectra(spec, RunConfig(replicates=64, master_seed=SEED, workers=w))
-                if not np.array_equal(reference, run):
+                config = RunConfig(replicates=64, master_seed=SEED, workers=w)
+                size = by_workers[w][i]
+                if _batch_sizes(spec, config) != [size] * (64 // size) + ([64 % size] if 64 % size else []):
+                    failures.append(("batch sizes", m, n, field, w, batch_bytes))
+                if not np.array_equal(reference, collect_spectra(spec, config)):
                     failures.append((m, n, field, w, batch_bytes))
-    _finish("bit-identical results at 1, 2 and 8 workers, three batch sizes and 1 and 2 BLAS threads",
-            failures)
+    # A replicate over the byte budget: one per batch at one worker, and at two
+    # and eight workers the floor of 500 // 200 + 1 = 3 (eight batches and one
+    # of one; the share at eight workers is four).
+    spec = GinibreSpec(n=200, m=1, field="complex")
+    reference = collect_spectra(spec, RunConfig(replicates=25, master_seed=SEED, workers=1))
+    for w, want in ((1, [1] * 25), (2, [3] * 8 + [1]), (8, [3] * 8 + [1])):
+        config = RunConfig(replicates=25, master_seed=SEED, workers=w)
+        if _batch_sizes(spec, config) != want:
+            failures.append(("batch sizes", 1, 200, "complex", w))
+        if not np.array_equal(reference, collect_spectra(spec, config)):
+            failures.append((1, 200, "complex", w))
+    _finish("bit-identical results at 1, 2 and 8 workers, batches set by bytes and by the GIL floor, "
+            "and 1 and 2 BLAS threads", failures)

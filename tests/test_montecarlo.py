@@ -22,6 +22,7 @@ from ginprod.montecarlo import (
     GinibreSpec,
     RunConfig,
     WORKERS_ENV_VAR,
+    _batches,
     _blas_threads,
     _replicate_states,
     _seed_prefix,
@@ -166,15 +167,64 @@ def _replicate_bytes(spec):
     return spec.m * (1 if spec.field == "real" else 2) * spec.n**2 * 8 + ginprod.montecarlo.SEED_BYTES
 
 
+def _batch_sizes(spec, replicates, workers):
+    """The replicate count of each batch a run samples, in order."""
+    batches = _batches(spec, RunConfig(replicates=replicates, master_seed=SEED, workers=workers))
+    assert [b.start for b in batches] == [0, *(b.stop for b in batches[:-1])]
+    assert batches[-1].stop == replicates
+    return [len(b) for b in batches]
+
+
+def _split(replicates, size):
+    """Batches of ``size`` with a smaller last one for the rest."""
+    return [size] * (replicates // size) + ([replicates % size] if replicates % size else [])
+
+
+#: Run sizes the sizing tests split: fewer replicates than workers, shares
+#: below and above the floor, and ragged ends.
+_RUN_SIZES = (1, 2, 3, 7, 16, 33, 200, 1001)
+
+
+class TestBatchSizing:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("workers", [2, 8])
+    @pytest.mark.parametrize("n", [5, 125, 126, 250, 251, 384, 500, 501])
+    def test_parallel_batches_are_above_the_svd_gil_threshold(self, field, workers, n):
+        # numpy's stacked SVD releases the GIL only when stack size x n > 500
+        # (NPY_BEGIN_THREADS_THRESHOLDED). Every batch but the last is above
+        # that wherever the per-worker share allows it, and its draws stay
+        # within the byte budget or about 4 MB per n x n block (n = 500, floor 2).
+        spec = GinibreSpec(n=n, m=1, field=field)
+        parts = 1 if field == "real" else 2
+        for replicates in _RUN_SIZES:
+            sizes = _batch_sizes(spec, replicates, workers)
+            share = -(-replicates // workers)
+            assert max(sizes) <= share
+            for size in sizes[:-1]:
+                assert size * n > 500 or size == share, (replicates, sizes)
+            assert sizes[0] * n * n * 8 * parts <= max(ginprod.montecarlo.BATCH_DRAW_BYTES, 4_000_000 * parts)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [5, 125, 126, 250, 251, 384, 500, 501])
+    def test_one_worker_keeps_byte_bounded_batches(self, field, n):
+        spec = GinibreSpec(n=n, m=2, field=field)
+        budget = max(1, ginprod.montecarlo.BATCH_DRAW_BYTES // _replicate_bytes(spec))
+        for replicates in _RUN_SIZES:
+            assert _batch_sizes(spec, replicates, 1) == _split(replicates, min(budget, replicates))
+
+
 class TestBatchKernel:
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_batches_match_single_replicates(self, monkeypatch, field, m, workers):
-        # Three replicates per batch by bytes; 11 replicates leave a ragged
-        # last batch at every worker count.
+        # Three replicates per batch by bytes at one worker. More workers raise
+        # a batch to the floor of 500 // 5 + 1 = 101 replicates, capped at the
+        # per-worker share: six at two workers, two at eight. 11 replicates
+        # leave a ragged last batch at every worker count.
         spec = GinibreSpec(n=5, m=m, field=field)
         monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", 3 * _replicate_bytes(spec))
+        assert _batch_sizes(spec, 11, workers) == {1: [3, 3, 3, 2], 2: [6, 5], 8: [2, 2, 2, 2, 2, 1]}[workers]
         rows = [_reference_spectrum(spec, r) for r in range(11)]
         assert np.array_equal(_spectra(spec, 11, workers), np.vstack(rows))
 
@@ -247,9 +297,13 @@ class TestSeeding:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_seed_prefix_derived_once_per_run(self, monkeypatch, workers):
-        # Five batches of one replicate share one derivation of the run's fixed words.
+        # Every batch shares one derivation of the run's fixed words: five
+        # batches of one replicate at one worker, and at two workers the
+        # per-worker share of three, which caps the floor of 500 // 4 + 1.
         spec = GinibreSpec(n=4, m=2, field="complex")
         monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", _replicate_bytes(spec))
+        sizes = {1: [1, 1, 1, 1, 1], 2: [3, 2]}[workers]
+        assert _batch_sizes(spec, 5, workers) == sizes
         derived, used = [], []
 
         def seed_prefix(*args):
@@ -264,7 +318,7 @@ class TestSeeding:
         monkeypatch.setattr(ginprod.montecarlo, "_replicate_states", replicate_states)
         spectra = _spectra(spec, 5, workers)
         assert len(derived) == 1
-        assert len(used) == 5 and all(prefix is derived[0] for prefix in used)
+        assert len(used) == len(sizes) and all(prefix is derived[0] for prefix in used)
         assert np.array_equal(spectra, np.vstack([_reference_spectrum(spec, r) for r in range(5)]))
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -316,11 +370,13 @@ class TestBlasPinning:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_thread_while_sampling_and_restored_after(self, monkeypatch, blas_count, workers):
+        # Four batches of one replicate at one worker; at two, two batches of
+        # the per-worker share, which caps the floor of 500 // 4 + 1.
         spec = GinibreSpec(n=4, m=2, field="complex")
         monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", _replicate_bytes(spec))
         counts = self._svd_recording(monkeypatch, blas_count)
         _spectra(spec, 4, workers)
-        assert counts == [1, 1, 1, 1]
+        assert counts == [1] * {1: 4, 2: 2}[workers]
         assert blas_count() == 2
         assert blas_pinned()
 
