@@ -7,7 +7,7 @@ moments to the spectral-edge constant u_m = (m+1)^(m+1) / m^m, and
 estimates the largest squared singular value by Monte Carlo.
 """
 
-from .beta_poly import BetaBoundsReport, BetaVector, beta_bounds_check, beta_ratio, compute_beta
+from .beta_poly import BetaBoundsReport, BetaVector, beta_bounds_check, beta_ratio, beta_vectors, compute_beta
 from .combinatorics import (
     binomial,
     factorial,
@@ -15,6 +15,7 @@ from .combinatorics import (
     fuss_catalan,
     stirling2,
     stirling2_alternating,
+    stirling2_column,
 )
 from .edge_analysis import (
     AsymptoticCheck,
@@ -62,11 +63,13 @@ __all__ = [
     "factorial",
     "falling_factorial",
     "stirling2",
+    "stirling2_column",
     "stirling2_alternating",
     "fuss_catalan",
     # beta_poly
     "BetaVector",
     "BetaBoundsReport",
+    "beta_vectors",
     "compute_beta",
     "beta_bounds_check",
     "beta_ratio",

@@ -9,10 +9,16 @@ The stored form is the cleared integers q_r = beta_r n^(k(m+1)-r), the
 coefficients of Q(y) = prod (n - i + y)^(m+1). The bound check and the
 moment sums work on them directly; the ``Fraction`` values beta_r and the
 bound table's rows are built on first read.
+
+Q is grown along k: :func:`beta_vectors` yields the vectors for k = 1, 2,
+... at a fixed (m, n), each one the last extended by m + 1 linear factors,
+so a caller that reads every k expands Q once. :func:`compute_beta` is the
+last vector of that walk.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,7 +27,15 @@ from math import comb
 
 from .combinatorics import _k_within_n
 
-__all__ = ["BetaVector", "BetaBoundRow", "BetaBoundsReport", "compute_beta", "beta_bounds_check", "beta_ratio"]
+__all__ = [
+    "BetaVector",
+    "BetaBoundRow",
+    "BetaBoundsReport",
+    "beta_vectors",
+    "compute_beta",
+    "beta_bounds_check",
+    "beta_ratio",
+]
 
 
 @dataclass(frozen=True)
@@ -84,20 +98,36 @@ class BetaBoundsReport:
         return tuple(rows)
 
 
-def compute_beta(m: int, n: int, k: int) -> BetaVector:
-    """Expand Q(y) = prod (n - i + y)^(m+1) by repeated convolution with its linear factors.
+def beta_vectors(m: int, n: int, k_max: int) -> Iterator[BetaVector]:
+    """The vectors for k = 1 .. k_max at a fixed (m, n), each grown from the last.
 
-    Q has integer coefficients q_r, and beta_r = q_r / n^(k(m+1)-r). Each
-    linear factor (n - i + y) is applied m+1 times, so this is the plain
-    iterated polynomial multiplication, over integers.
+    Q_k(y) = Q_{k-1}(y) (n - k + 1 + y)^(m+1), so the vector for k extends the
+    one for k - 1 by convolution with m + 1 linear factors: the plain
+    iterated polynomial multiplication, over integers. The arguments are
+    checked here, when called, not on the first ``next()``.
     """
-    _k_within_n("compute_beta", m, n, k)
+    _k_within_n("beta_vectors", m, n, k_max)
+    return _grow_beta(m, n, k_max)
+
+
+def _grow_beta(m: int, n: int, k_max: int) -> Iterator[BetaVector]:
     q = [1]
-    for i in range(k):
-        c = n - i
+    for k in range(1, k_max + 1):
+        c = n - k + 1
         for _ in range(m + 1):
             q = [c * a + b for a, b in zip(q + [0], [0] + q)]
-    return BetaVector(m=m, n=n, k=k, cleared=tuple(q))
+        yield BetaVector(m=m, n=n, k=k, cleared=tuple(q))
+
+
+def compute_beta(m: int, n: int, k: int) -> BetaVector:
+    """Expand Q(y) = prod (n - i + y)^(m+1): the last vector of :func:`beta_vectors`.
+
+    Q has integer coefficients q_r, and beta_r = q_r / n^(k(m+1)-r).
+    """
+    _k_within_n("compute_beta", m, n, k)
+    # Keep only the newest vector while walking, not every k below it.
+    (last,) = deque(beta_vectors(m, n, k), maxlen=1)
+    return last
 
 
 def _cleared_bounds(bv: BetaVector) -> Iterator[tuple[int, int, int, int]]:

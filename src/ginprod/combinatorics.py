@@ -5,6 +5,11 @@ number" carrier; negative inputs are rejected) and return exact values.
 Rational quantities elsewhere in the package are ``fractions.Fraction``,
 which is always stored in lowest terms with a positive denominator, so
 equality of values is equality of representations.
+
+Stirling numbers of the second kind come two ways from the triangular
+recurrence: :func:`stirling2` answers single values from a memo shared
+by all calls, and :func:`stirling2_column` rolls one whole column in a
+list it does not keep, for callers that read a column at once.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ __all__ = [
     "factorial",
     "falling_factorial",
     "stirling2",
+    "stirling2_column",
     "stirling2_alternating",
     "fuss_catalan",
 ]
@@ -97,6 +103,25 @@ def stirling2(n: int, k: int) -> int:
             for i in range(len(column), depth + 1):
                 column.append(j * column[i - 1] + columns[j - 1][i] if j else 0)
         return columns[k][depth]
+
+
+def stirling2_column(k: int, depth: int) -> list[int]:
+    """Column k of the Stirling triangle: {k + i brace k} for i = 0 .. depth.
+
+    The same triangular recurrence as :func:`stirling2`, run in one list
+    of length depth + 1 that is rolled in place from column 0 (1, 0, 0,
+    ...) up to column k: {j + i brace j} = j {j + i - 1 brace j} +
+    {j + i - 1 brace j - 1}, where the second term still sits at index i
+    when index i is overwritten. Nothing is memoised, so a caller that
+    reads one column holds one column.
+    """
+    _natural("k", k)
+    column = [1] + [0] * _natural("depth", depth)
+    for j in range(1, k + 1):
+        below = 0  # {j + i - 1 brace j}, zero above the diagonal
+        for i, left in enumerate(column):
+            below = column[i] = j * below + left
+    return column
 
 
 def stirling2_alternating(n: int, k: int) -> int:

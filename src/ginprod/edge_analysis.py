@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .beta_poly import compute_beta
-from .combinatorics import _k_within_n, _natural, binomial, stirling2
+from .combinatorics import _k_within_n, _natural, binomial, stirling2_column
 from .moment_engine import MomentQuery, moment_falling_sum
 
 __all__ = [
@@ -103,7 +103,7 @@ def schedule(m: int, z, w_override: float | None = None) -> TailSchedule:
     """Build the exponent schedule for a given m and threshold z > u_m.
 
     By default w = (1 + margin) * 3/log(z/u_m); an explicit ``w_override``
-    must itself exceed the threshold strictly.
+    must be finite and exceed the threshold strictly.
     """
     z = Fraction(z)
     threshold = w_threshold(m, z)
@@ -111,6 +111,8 @@ def schedule(m: int, z, w_override: float | None = None) -> TailSchedule:
         w = threshold * (1.0 + DEFAULT_W_MARGIN)
     else:
         w = float(w_override)
+        if not math.isfinite(w):
+            raise ValueError(f"w must be finite, got {w}")
         if w <= threshold:
             raise ValueError(
                 f"w = {w} does not exceed the required threshold {threshold}"
@@ -153,10 +155,11 @@ def dominance_report(m: int, n: int, k: int) -> DominanceReport:
     # every term shares the denominator n^N and is worked on as its
     # integer numerator. Partition-number weights vanish above r = 0 when
     # k = 1, so keep only the orders that actually contribute to the sum.
+    # The weights {r brace k-1}, r = k-1 .. N, are one Stirling column.
     r_values = []
     nums = []
-    for r in range(k - 1, bv.degree + 1):
-        weight = stirling2(r, k - 1)
+    weights = stirling2_column(k - 1, bv.degree - (k - 1))
+    for r, weight in enumerate(weights, start=k - 1):
         if weight:
             r_values.append(r)
             nums.append(bv.cleared[r] * weight)

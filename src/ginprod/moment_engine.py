@@ -28,8 +28,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .beta_poly import compute_beta
-from .combinatorics import _k_within_n, _natural, binomial, factorial, falling_factorial, fuss_catalan, stirling2
+from . import beta_poly
+from .combinatorics import (
+    _k_within_n,
+    _natural,
+    binomial,
+    factorial,
+    falling_factorial,
+    fuss_catalan,
+    stirling2_column,
+)
 
 __all__ = [
     "MomentQuery",
@@ -126,12 +134,15 @@ def moment_stirling_beta(q: MomentQuery) -> MomentValue:
     With the integer coefficients q_r = beta_r n^(k(m+1)-r) of the
     denominator-cleared polynomial, the scaled moment collapses to
     (1/k) sum_r q_r {r brace k-1}; the sum effectively starts at r = k-1
-    because {r brace k-1} = 0 below that.
+    because {r brace k-1} = 0 below that. The weights are one Stirling
+    column, {k-1+i brace k-1} for i = 0 .. mk+1. ``compute_beta`` is called
+    through its module, so the verify suites see a patched expansion.
     """
     _k_within_n("moment_stirling_beta", q.m, q.n, q.k)
     k = q.k
-    cleared = compute_beta(q.m, q.n, k).cleared
-    total = sum(cleared[r] * stirling2(r, k - 1) for r in range(k - 1, len(cleared)))
+    cleared = beta_poly.compute_beta(q.m, q.n, k).cleared[k - 1 :]
+    weights = stirling2_column(k - 1, len(cleared) - 1)
+    total = sum(c * w for c, w in zip(cleared, weights))
     return _as_moment_value(Fraction(total, k), q)
 
 

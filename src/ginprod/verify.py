@@ -6,7 +6,8 @@ Five suites, each checking one layer of the computation chain:
   hand-derived closed forms hold, and the moments approach Fuss-Catalan
   numbers at large n.
 - beta_bounds: the two-sided binomial bounds on the polynomial
-  coefficients hold exactly on a grid.
+  coefficients hold exactly on a grid, walked by (m, n) so that each
+  pair's coefficients are grown along k from one expansion.
 - stirling: the two independent Stirling-number routes agree, plus
   log-concavity and the growth bound on consecutive ratios.
 - dominance: consecutive terms of the Stirling-form moment sum shrink at
@@ -166,32 +167,27 @@ def _suite_cross_formula(profile: str) -> SuiteResult:
 
 def _suite_beta_bounds(profile: str) -> SuiteResult:
     suite = SuiteResult("beta_bounds")
+    # Every (m, n, k) with k <= min(k_max, n), walked by (m, n) so that one
+    # expansion grown along k serves each pair.
     if profile == "quick":
-        points = [
-            (m, n, k)
-            for m in (1, 2)
-            for k in range(1, 7)
-            for n in range(k, 31)
-        ]
+        ms, k_max, n_max = (1, 2), 6, 30
     else:
-        points = [
-            (m, n, k)
-            for m in (1, 2, 3)
-            for k in range(1, 13)
-            for n in range(k, 101)
-        ]
-    for m, n, k in points:
-        report = beta_poly.beta_bounds_check(beta_poly.compute_beta(m=m, n=n, k=k))
-        if report.all_ok:
-            suite.check((m, n, k), True, "")
-        else:
-            for row in report.rows:
-                if not row.ok:
-                    suite.check(
-                        (m, n, k, row.r),
-                        False,
-                        f"coefficient {row.beta} outside [{row.lower}, {row.upper}]",
-                    )
+        ms, k_max, n_max = (1, 2, 3), 12, 100
+    for m in ms:
+        for n in range(1, n_max + 1):
+            for bv in beta_poly.beta_vectors(m, n, min(k_max, n)):
+                report = beta_poly.beta_bounds_check(bv)
+                point = (m, n, bv.k)
+                if report.all_ok:
+                    suite.check(point, True, "")
+                else:
+                    for row in report.rows:
+                        if not row.ok:
+                            suite.check(
+                                point + (row.r,),
+                                False,
+                                f"coefficient {row.beta} outside [{row.lower}, {row.upper}]",
+                            )
     return suite
 
 

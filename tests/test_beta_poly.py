@@ -10,7 +10,7 @@ from math import comb, factorial, prod
 
 import pytest
 
-from ginprod.beta_poly import BetaBoundRow, BetaVector, beta_bounds_check, beta_ratio, compute_beta
+from ginprod.beta_poly import BetaBoundRow, BetaVector, beta_bounds_check, beta_ratio, beta_vectors, compute_beta
 
 
 def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -81,6 +81,21 @@ class TestComputeBeta:
             compute_beta(1, 0, 1)
         with pytest.raises(TypeError):
             compute_beta(1, 3.5, 2)
+
+
+class TestBetaVectors:
+    def test_each_vector_is_the_direct_expansion(self):
+        for m in (1, 2, 3):
+            for n in range(1, 31):
+                vectors = list(beta_vectors(m, n, n))
+                assert [bv.k for bv in vectors] == list(range(1, n + 1))
+                assert vectors == [compute_beta(m, n, k) for k in range(1, n + 1)]
+
+    @pytest.mark.parametrize("k_max, error", [(7, ValueError), (True, TypeError), (3.0, TypeError)])
+    def test_rejects_bad_input_when_called(self, k_max, error):
+        # Refused at the call, before any iteration.
+        with pytest.raises(error):
+            beta_vectors(1, 6, k_max)
 
 
 class TestBounds:

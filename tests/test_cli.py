@@ -180,6 +180,17 @@ class TestTailboundCommand:
         assert code == 2
         assert "edge constant" in err
 
+    @pytest.mark.parametrize("w", ["inf", "nan"])
+    def test_non_finite_w_is_usage_error(self, capsys, monkeypatch, w):
+        def never(*args, **kwargs):
+            raise AssertionError("a bound was computed before w was checked")
+
+        monkeypatch.setattr(ginprod.edge_analysis, "markov_chain_bound", never)
+        code, out, err = run_cli(capsys, "tailbound", "--m", "1", "--z", "6", "--n-grid", "60", "--w", w)
+        assert code == 2
+        assert out == ""
+        assert err == f"ginprod: error: w must be finite, got {w}\n"
+
     def test_fractional_z_accepted(self, capsys):
         code, out, _ = run_cli(
             capsys, "tailbound", "--m", "2", "--z", "81/8", "--n-grid", "60"

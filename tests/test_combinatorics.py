@@ -28,6 +28,7 @@ from ginprod.combinatorics import (
     fuss_catalan,
     stirling2,
     stirling2_alternating,
+    stirling2_column,
 )
 from ginprod.edge_analysis import beta_leading_asymptotic, dominance_report, edge_constant, markov_chain_bound
 from ginprod.moment_engine import (
@@ -224,6 +225,32 @@ class TestStirling2:
             stirling2(-1, 0)
         with pytest.raises(TypeError):
             stirling2(2.5, 1)
+
+
+class TestStirling2Column:
+    def test_matches_both_routes(self):
+        for k in range(0, 41):
+            for depth in range(0, 41):
+                want = [stirling2(k + i, k) for i in range(depth + 1)]
+                assert stirling2_column(k, depth) == want
+                assert want == [stirling2_alternating(k + i, k) for i in range(depth + 1)]
+
+    def test_column_zero(self):
+        assert stirling2_column(0, 0) == [1]
+        assert stirling2_column(0, 5) == [1, 0, 0, 0, 0, 0]
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="^depth must be >= 0, got -1$"):
+            stirling2_column(3, -1)
+        with pytest.raises(TypeError, match="^k must be an int, got bool$"):
+            stirling2_column(True, 3)
+
+    def test_moment_callers_leave_the_memo_empty(self, monkeypatch):
+        # The Stirling-weighted sums read one column each; none of it is kept.
+        monkeypatch.setattr(ginprod.combinatorics, "_STIRLING2_COLUMNS", [])
+        dominance_report(3, 1000, 50)
+        moment_stirling_beta(MomentQuery(2, 60, 20))
+        assert ginprod.combinatorics._STIRLING2_COLUMNS == []
 
 
 class TestFussCatalan:

@@ -73,20 +73,20 @@ class TestFaultInjection:
 
     def test_corrupted_beta_is_caught(self, monkeypatch):
         # One cleared coefficient one unit above its upper bound
-        # C(N, r) n^(N-r): the bound suite names (m, n, k, r) and prints the
-        # failing row's exact bounds.
+        # C(N, r) n^(N-r), in the vector grown for k at (m, n): the bound
+        # suite names (m, n, k, r) and prints the failing row's exact bounds.
         m, n, k, r = 2, 5, 3, 4
-        real = ginprod.beta_poly.compute_beta
+        real = ginprod.beta_poly.beta_vectors
 
-        def corrupted(**point):
-            bv = real(**point)
-            if (bv.m, bv.n, bv.k) != (m, n, k):
-                return bv
-            cleared = list(bv.cleared)
-            cleared[r] = comb(bv.degree, r) * n ** (bv.degree - r) + 1
-            return ginprod.beta_poly.BetaVector(m=m, n=n, k=k, cleared=tuple(cleared))
+        def corrupted(*args):
+            for bv in real(*args):
+                if (bv.m, bv.n, bv.k) == (m, n, k):
+                    cleared = list(bv.cleared)
+                    cleared[r] = comb(bv.degree, r) * n ** (bv.degree - r) + 1
+                    bv = ginprod.beta_poly.BetaVector(m=m, n=n, k=k, cleared=tuple(cleared))
+                yield bv
 
-        monkeypatch.setattr(ginprod.beta_poly, "compute_beta", corrupted)
+        monkeypatch.setattr(ginprod.beta_poly, "beta_vectors", corrupted)
         report = run_verify("quick")
         assert not report.ok
         bounds = next(s for s in report.suites if s.name == "beta_bounds")
@@ -96,3 +96,25 @@ class TestFaultInjection:
         lower = upper * Fraction(n - k + 1, n) ** (degree - r)
         assert f"[{lower}, {upper}]" in bounds.failures[0].message
         assert report.as_dict()["ok"] is False
+
+    def test_corrupted_single_expansion_is_caught(self, monkeypatch):
+        # compute_beta feeds the Stirling-form moment: a unit added to one
+        # cleared coefficient at (m, n, k) makes the three formulations
+        # disagree there.
+        m, n, k, r = 2, 5, 3, 4
+        real = ginprod.beta_poly.compute_beta
+
+        def corrupted(*args):
+            bv = real(*args)
+            if (bv.m, bv.n, bv.k) != (m, n, k):
+                return bv
+            cleared = list(bv.cleared)
+            cleared[r] += 1
+            return ginprod.beta_poly.BetaVector(m=m, n=n, k=k, cleared=tuple(cleared))
+
+        monkeypatch.setattr(ginprod.beta_poly, "compute_beta", corrupted)
+        report = run_verify("quick")
+        assert not report.ok
+        cross = next(s for s in report.suites if s.name == "cross_formula")
+        assert [f.point for f in cross.failures] == [(m, n, k)]
+        assert "stirling_beta=" in cross.failures[0].message
