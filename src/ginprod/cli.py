@@ -1,4 +1,4 @@
-"""Command-line front end.
+r"""Command-line front end.
 
 One subcommand per quantity: exact edge constants, exact moments, the
 coefficient vector with its bounds, term-dominance tables, tail bounds
@@ -14,7 +14,15 @@ Output contracts:
   invocation; seed and ``blas_pinned`` where applicable) and serialize
   exact rationals as "p/q" strings, never floats.
 - CSV files start with '#'-prefixed metadata lines, then a mandatory
-  header row; numeric columns use '.' decimals, no grouping.
+  header row; numeric columns use '.' decimals, no grouping. A line break
+  inside a metadata value is written as its Python escape (\n, \r, \x0c,
+  ... for every break ``str.splitlines`` knows), so each value stays on
+  its one '#' line.
+- Each CSV row is its cells joined by commas. A cell is quoted only where
+  ``csv.writer(lineterminator="\n")`` quotes it (a comma, a double quote
+  or a line feed inside; a row that is one empty cell), and also at a
+  carriage return, which that writer leaves bare on Python 3.11 although
+  ``csv.reader`` ends the row there.
 - Handlers return raw values and ``_cell`` alone writes them, in CSV and
   for JSON rationals: floats with 17 significant digits, bools as
   true/false, rationals as "p/q", None as an empty cell.
@@ -36,7 +44,6 @@ Output contracts:
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import itertools
 import json
@@ -94,6 +101,32 @@ def _cell(value: object) -> str:
     raise TypeError(f"no output format for {type(value).__name__}")
 
 
+#: Every character ``str.splitlines`` breaks a line at, mapped to its escape.
+_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
+def _quoted(cell: str) -> str:
+    """The cell in double quotes, its own quotes doubled, if it holds a comma, a quote or a line break."""
+    if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _csv_line(cells: list[str]) -> str:
+    r"""One CSV row and its line feed, quoted as the module docstring says.
+
+    ``csv.writer`` copies a row one character at a time; a join copies it
+    in bulk. Most rows need no quotes, and the joined row shows that in a
+    few scans: no quote, no line break, one comma fewer than cells.
+    """
+    line = ",".join(cells)
+    if line.count(",") >= len(cells) or '"' in line or "\n" in line or "\r" in line:
+        line = ",".join(map(_quoted, cells))
+    elif cells == [""]:
+        line = '""'  # so a row that is one empty cell is not read as a blank line
+    return line + "\n"
+
+
 def _render(args: argparse.Namespace, doc: str | dict | _Table, fh: TextIO) -> None:
     """Format one document into ``fh``; JSON objects and CSV tables get the ``meta`` block."""
     meta = {"tool": "ginprod", "version": __version__, "invocation": args.invocation}
@@ -107,10 +140,9 @@ def _render(args: argparse.Namespace, doc: str | dict | _Table, fh: TextIO) -> N
         fh.write("\n")
     else:
         for key, value in [*meta.items(), *doc.meta.items()]:
-            fh.write(f"# {key}: {_cell(value)}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(doc.header)
-        writer.writerows(map(_cell, row) for row in doc.rows)
+            fh.write(f"# {key}: {_cell(value).translate(_LINE_BREAKS)}\n")
+        fh.write(_csv_line(doc.header))
+        fh.writelines(_csv_line(list(map(_cell, row))) for row in doc.rows)
 
 
 @contextmanager

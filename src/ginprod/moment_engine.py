@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 
 from . import beta_poly
 from .combinatorics import (
@@ -77,24 +76,38 @@ def _as_moment_value(scaled: Fraction, q: MomentQuery) -> MomentValue:
     return MomentValue(value=scaled / Fraction(q.n) ** (q.m * q.k + 1), scaled=scaled)
 
 
+def _pairwise_product(factors: list[int]) -> int:
+    """The product of ``factors``, 1 for none, multiplied pairwise as a product tree.
+
+    Each round multiplies neighbours, so the operands of a multiply grow
+    together; one after another, every multiply would take the whole
+    running product times one small factor.
+    """
+    while len(factors) > 1:
+        odd = factors[len(factors) & ~1 :]  # the unpaired last factor, if any
+        factors = [a * b for a, b in zip(factors[::2], factors[1::2])] + odd
+    return factors[0] if factors else 1
+
+
 def moment_gamma_sum(q: MomentQuery) -> MomentValue:
     """Factorial-ratio form of n^(mk+1) G(m, n, k).
 
     Evaluates sum_{i=0}^{n-1} (-1)^(1+i) prod_{j=0}^{n-1} (j-k-i)
-    / (i! (n-1-i)! k) * ((k+i)!/i!)^m term by term. Terms with
-    i < n - k contain the zero factor j = k + i and vanish, so the loop
-    starts at i = n - k: k terms of O(n) integer products each. The inner
-    product is still taken literally over integers, so its sign comes out
-    of the arithmetic rather than a separate parity argument.
+    / (i! (n-1-i)! k) * ((k+i)!/i!)^m. Terms with i < n - k contain the
+    zero factor j = k + i and vanish, so the loop starts at i = n - k: k
+    terms, each with a product of n integers. That product is still taken
+    literally, factor by factor (as a product tree), so its sign comes out
+    of the arithmetic rather than a separate parity argument. Every term
+    is put over the one denominator (n-1)! k, as 1/(i! (n-1-i)!) =
+    C(n-1, i)/(n-1)!, and the sum is divided once.
     """
     _k_within_n("moment_gamma_sum", q.m, q.n, q.k)
     m, n, k = q.m, q.n, q.k
-    total = Fraction(0)
+    total = 0
     for i in range(n - k, n):
-        signed_product = prod(j - k - i for j in range(n))
-        numerator = (-1) ** (1 + i) * signed_product * falling_factorial(k + i, k) ** m
-        total += Fraction(numerator, factorial(i) * factorial(n - 1 - i) * k)
-    return _as_moment_value(total, q)
+        signed_product = _pairwise_product([j - k - i for j in range(n)])
+        total += (-1) ** (1 + i) * signed_product * falling_factorial(k + i, k) ** m * binomial(n - 1, i)
+    return _as_moment_value(Fraction(total, factorial(n - 1) * k), q)
 
 
 def _gamma_sum_restricted(q: MomentQuery) -> MomentValue:

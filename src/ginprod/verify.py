@@ -8,7 +8,8 @@ Five suites, each checking one layer of the computation chain:
 - beta_bounds: the two-sided binomial bounds on the polynomial
   coefficients hold exactly on a grid, walked by (m, n) so that each
   pair's coefficients are grown along k from one expansion.
-- stirling: the two independent Stirling-number routes agree, plus
+- stirling: the two independent Stirling-number routes agree (the
+  recurrence as the rolled columns the moment layers read), plus
   log-concavity and the growth bound on consecutive ratios.
 - dominance: consecutive terms of the Stirling-form moment sum shrink at
   the predicted rate and the first term dominates.
@@ -198,27 +199,35 @@ def _suite_stirling(profile: str) -> SuiteResult:
     else:
         eq_n, concave_n, ratio_r = 40, 60, 40
 
+    # Every value is read from the rolled columns that dominance_report and
+    # moment_stirling_beta use: {n brace k} = columns[k][n - k] for n <= top.
+    top = max(eq_n, concave_n, ratio_r + 1)
+    columns = [combinatorics.stirling2_column(k, top - k) for k in range(top + 1)]
+
+    def s2(n: int, k: int) -> int:
+        return columns[k][n - k]
+
     # Route agreement: triangular recurrence vs alternating binomial sum.
     for n in range(0, eq_n + 1):
         for k in range(0, n + 1):
-            rec = combinatorics.stirling2(n, k)
+            rec = s2(n, k)
             alt = combinatorics.stirling2_alternating(n, k)
             suite.check((n, k), rec == alt, f"recurrence {rec} != alternating sum {alt}")
 
     # Log-concavity along k at fixed n.
     for n in range(1, concave_n + 1):
         for k in range(1, n):
-            s = combinatorics.stirling2(n, k)
-            lo = combinatorics.stirling2(n, k - 1)
-            hi = combinatorics.stirling2(n, k + 1)
+            s = s2(n, k)
+            lo = s2(n, k - 1)
+            hi = s2(n, k + 1)
             suite.check((n, k), s * s >= lo * hi, f"log-concavity fails: {s}^2 < {lo}*{hi}")
 
     # Consecutive-ratio identity and its quadratic upper bound.
     for r in range(2, ratio_r + 1):
         for km1 in range(2, r + 1):
-            cur = combinatorics.stirling2(r, km1)
-            nxt = combinatorics.stirling2(r + 1, km1)
-            prev_col = combinatorics.stirling2(r, km1 - 1)
+            cur = s2(r, km1)
+            nxt = s2(r + 1, km1)
+            prev_col = s2(r, km1 - 1)
             ratio = Fraction(nxt, cur)
             identity = km1 + Fraction(prev_col, cur)
             suite.check((r, km1), ratio == identity, f"ratio identity fails: {ratio} != {identity}")

@@ -176,6 +176,19 @@ class TestClearedIntegers:
             assert [row.r for row in report.rows if not row.ok] == ([] if ok else [r])
 
 
+    @pytest.mark.parametrize("r", [0, 1, 8, 9])
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_check_agrees_with_its_rows_at_every_end(self, r, step):
+        # The check walks r from N down and stops at the first failure; one
+        # unit past either bound at the first or last r it walks is seen.
+        m, n, k = 2, 5, 3
+        bv = compute_beta(m, n, k)
+        edge = comb(bv.degree, r) * (n if step > 0 else n - k + 1) ** (bv.degree - r)
+        cleared = bv.cleared[:r] + (edge + step,) + bv.cleared[r + 1 :]
+        report = beta_bounds_check(BetaVector(m=m, n=n, k=k, cleared=cleared))
+        assert report.all_ok is False
+        assert [row.r for row in report.rows if not row.ok] == [r]
+
 class TestRatio:
     def test_matches_adjacent_coefficients(self):
         bv = compute_beta(2, 8, 3)

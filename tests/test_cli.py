@@ -705,6 +705,90 @@ r,term,ratio_to_next,ratio_bound,pass
             ginprod.cli._cell(value)
 
 
+def _csv_writer_line(cells):
+    """A row as csv.writer(lineterminator="\\n") writes it, the row writer's reference."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
+
+
+class TestCsvRows:
+    ROWS = [
+        [], [""], ["", ""], [None], [None, None], ["a", None, "b"], ["1/2", "-3", "true"],
+        ["a,b", "c"], [","], ['say "hi"'], ['"'], ['""'], ["two\nlines", "x"], ["\n"],
+        ['a,"b"\nc', "", "d"], [" lead", "trail "],
+    ]
+
+    @pytest.mark.parametrize("row", ROWS, ids=repr)
+    def test_row_matches_csv_writer_and_reads_back(self, row):
+        cells = [ginprod.cli._cell(value) for value in row]
+        line = ginprod.cli._csv_line(cells)
+        assert line == _csv_writer_line(row)
+        assert list(csv.reader(io.StringIO(line, newline=""))) == ([cells] if cells else [[]])
+
+    def test_carriage_return_is_quoted(self):
+        # Python 3.11's csv.writer leaves a lone "\r" bare, and csv.reader ends the row there.
+        line = ginprod.cli._csv_line(["r\rs", "x"])
+        assert line == '"r\rs",x\n'
+        assert list(csv.reader(io.StringIO(line, newline=""))) == [["r\rs", "x"]]
+
+    @pytest.mark.parametrize("argv", [
+        ("dominance", "--m", "3", "--n", "1000", "--k", "10"),
+        ("beta", "--m", "2", "--n", "30", "--k", "6"),
+        ("tailbound", "--m", "2", "--z", "9", "--n-grid", "100,200,400"),
+        ("converge", "--m", "2", "--n-grid", "4,8", "--replicates", "6", "--seed", "3", "--workers", "1"),
+        ("simulate", "--m", "1", "--n", "6", "--field", "complex", "--replicates", "4", "--seed", "5",
+         "--workers", "1", "--replicate-csv", "reps.csv", "--spectrum-dir", "spectra"),
+    ], ids=lambda argv: argv[0])
+    def test_documents_equal_csv_writer_output(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+
+        def outputs():
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            return out, {str(p): p.read_bytes() for p in sorted(Path().rglob("*.csv"))}
+
+        ours = outputs()
+        monkeypatch.setattr(ginprod.cli, "_csv_line", _csv_writer_line)
+        assert outputs() == ours
+        if argv[0] == "simulate":
+            assert len(ours[1]) == 5  # reps.csv and four spectra
+        else:
+            assert ours[0].count("\n") >= 10  # metadata, header and rows
+
+
+class TestMetadataLineBreaks:
+    @pytest.mark.parametrize("z, escaped", [
+        ("6\n", "6\\n"), ("6\r", "6\\r"), ("6\r\n", "6\\r\\n"), ("6\f", "6\\x0c"),
+        ("6\u2028", "6\\u2028"),
+    ], ids=repr)
+    def test_break_in_an_argument_stays_on_its_line(self, capsys, z, escaped):
+        # Fraction accepts the trailing whitespace; the invocation keeps it.
+        code, out, _ = run_cli(capsys, "tailbound", "--m", "1", "--z", z, "--n-grid", "60")
+        assert code == 0
+        lines = out.splitlines()
+        header = lines.index("n,k_n,exact_bound,log_exact,log_surrogate,minus_2_log_n")
+        assert header == 6  # tool, version, invocation, m, z, w
+        assert all(line.startswith("#") for line in lines[:header])
+        assert f"# invocation: ginprod tailbound --m 1 --z '{escaped}' --n-grid 60" in lines
+        assert "# z: 6" in lines
+
+    def test_break_in_an_output_path(self, capsys, tmp_path):
+        target = tmp_path / "two\nlines.csv"
+        code, _, _ = run_cli(capsys, "beta", "--m", "1", "--n", "2", "--k", "2", "--output", str(target))
+        assert code == 0
+        lines = target.read_text().splitlines()
+        header = lines.index("r,beta,lower_bound,upper_bound,pass")
+        assert all(line.startswith("#") for line in lines[:header])
+        assert f"# invocation: ginprod beta --m 1 --n 2 --k 2 --output '{tmp_path}/two\\nlines.csv'" in lines
+
+    def test_json_meta_keeps_the_break(self, capsys, tmp_path):
+        target = tmp_path / "two\nlines.json"
+        argv = ["moments", "--m", "1", "--n", "2", "--k", "2", "--output", str(target)]
+        assert run_cli(capsys, *argv)[0] == 0
+        assert json.loads(target.read_text())["meta"]["invocation"] == shlex.join(["ginprod", *argv])
+
+
 @pytest.mark.parametrize("buffered", [True, False])
 @pytest.mark.parametrize("argv", [
     ["edge", "--m", "2"],

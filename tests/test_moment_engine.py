@@ -15,6 +15,7 @@ from ginprod.combinatorics import fuss_catalan
 from ginprod.moment_engine import (
     MomentQuery,
     _gamma_sum_restricted,
+    _pairwise_product,
     moment_cross_check,
     moment_falling_sum,
     moment_gamma_sum,
@@ -95,6 +96,21 @@ class TestFormulationAgreement:
                         )
                     q = MomentQuery(m=m, n=n, k=k)
                     assert moment_gamma_sum(q).scaled == full, (m, n, k)
+
+    @pytest.mark.parametrize("m, n, k", [(2, 2000, 10), (1, 1, 1), (3, 9, 9), (2, 40, 40)])
+    def test_gamma_sum_at_benchmark_size_and_k_equal_n(self, m, n, k):
+        # The product tree and the one common denominator (n-1)! k change
+        # how the sum is evaluated, never its exact value.
+        q = MomentQuery(m=m, n=n, k=k)
+        value = moment_gamma_sum(q).value
+        assert value == moment_falling_sum(q).value == _gamma_sum_restricted(q).value
+
+    @pytest.mark.parametrize("factors", [
+        [], [7], [-3], [0], [2, 3], [2, -3, 5], [1, 2, 3, 4, 5, 6, 7],
+        [-(j + 1) for j in range(9)], list(range(-20, 0)) + [10**30],
+    ])
+    def test_pairwise_product_matches_prod(self, factors):
+        assert _pairwise_product(list(factors)) == prod(factors)
 
     def test_scaled_and_value_are_consistent(self):
         q = MomentQuery(m=2, n=5, k=3)

@@ -32,6 +32,18 @@ class TestRunVerify:
         assert doc["ok"] is True
         assert len(doc["suites"]) == 5
 
+    @pytest.mark.parametrize("profile, counts", [
+        ("quick", [123, 330, 1046, 66, 8]),
+        ("full", [366, 3402, 4191, 90, 12]),
+    ])
+    def test_check_counts_per_suite(self, profile, counts):
+        # A suite rewrite must keep every check: cross_formula, beta_bounds,
+        # stirling, dominance and asymptotic, in that order.
+        report = run_verify(profile)
+        assert report.ok
+        assert [s.checks for s in report.suites] == counts
+        assert report.checks == {"quick": 1573, "full": 8061}[profile]
+
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError):
             run_verify("exhaustive")
@@ -53,6 +65,31 @@ class TestFaultInjection:
         assert not report.ok
         stirling = next(s for s in report.suites if s.name == "stirling")
         assert any(f.point == (7, 3) for f in stirling.failures)
+
+    def test_corrupted_stirling_column_is_caught(self, monkeypatch):
+        # The suite reads the recurrence route from stirling2_column, the
+        # columns the moment layers use: one value one unit off, {12 brace 5},
+        # must be named at (12, 5) by the route-agreement check.
+        real = ginprod.combinatorics.stirling2_column
+        n, k = 12, 5
+        right = ginprod.combinatorics.stirling2_alternating(n, k)
+
+        def corrupted(col, depth):
+            column = real(col, depth)
+            if col == k and depth >= n - k:
+                column[n - k] += 1
+            return column
+
+        monkeypatch.setattr(ginprod.combinatorics, "stirling2_column", corrupted)
+        report = run_verify("quick")
+        assert not report.ok
+        stirling = next(s for s in report.suites if s.name == "stirling")
+        assert stirling.checks == 1046
+        route = [f for f in stirling.failures if f.message.startswith("recurrence")]
+        assert [(f.point, f.message) for f in route] == [
+            ((n, k), f"recurrence {right + 1} != alternating sum {right}")
+        ]
+        assert {f.suite for f in report.failures} == {"stirling"}
 
     def test_corrupted_moment_engine_is_caught(self, monkeypatch):
         real = ginprod.moment_engine.moment_falling_sum
