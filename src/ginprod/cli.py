@@ -150,7 +150,8 @@ def _any_int_digits() -> Iterator[None]:
     """Lift Python's limit on the digits of an int written as text, then restore it.
 
     Exact values are written in full: the terms of ``dominance --m 3 --n
-    100000 --k 250`` have numerators past the default 4300 digits.
+    100000 --k 250`` have numerators past the default 4300 digits, and
+    ``edge`` formats u_m in its handler, which runs inside this too.
     Interpreters older than 3.10.7 have no such limit, and nothing to lift.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
@@ -408,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--replicates", type=int, required=True)
     run.add_argument("--seed", type=int, required=True, help="master seed (unsigned 64-bit)")
     run.add_argument("--workers", type=int, default=None,
-                     help=f"worker threads (default: ${montecarlo.WORKERS_ENV_VAR} or the usable cores)")
+                     help=f"worker threads, at most {montecarlo.MAX_WORKERS} "
+                          f"(default: ${montecarlo.WORKERS_ENV_VAR} or the usable cores)")
 
     def add(name: str, help_text: str, func,
             *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
@@ -455,8 +457,8 @@ def main(argv: list[str] | None = None) -> int:
     args.invocation = shlex.join(["ginprod", *argv])
     try:
         _check_destinations(args)
-        exit_code, documents = args.func(args)
         with _any_int_digits():
+            exit_code, documents = args.func(args)
             for path, doc in documents:
                 with _writer(path) as fh:
                     _render(args, doc, fh)

@@ -6,15 +6,15 @@ Rational quantities elsewhere in the package are ``fractions.Fraction``,
 which is always stored in lowest terms with a positive denominator, so
 equality of values is equality of representations.
 
-Stirling numbers of the second kind come two ways from the triangular
-recurrence: :func:`stirling2` answers single values from a memo shared
-by all calls, and :func:`stirling2_column` rolls one whole column in a
-list it does not keep, for callers that read a column at once.
+Stirling numbers of the second kind come from the triangular recurrence,
+run by :func:`stirling2_column` one whole column at a time in a list it
+does not keep; :func:`stirling2` reads a single value off such a column.
+:func:`stirling2_alternating` is the independent second route. Nothing is
+kept between calls.
 """
 
 from __future__ import annotations
 
-import threading
 from math import comb, factorial as _factorial, perm
 
 __all__ = [
@@ -70,50 +70,26 @@ def falling_factorial(x: int, k: int) -> int:
     return perm(_natural("x", x), _natural("k", k))
 
 
-#: The memo of :func:`stirling2`: column j holds {j + i brace j} for
-#: i = 0, 1, ..., each column as deep as the deepest request has needed.
-_STIRLING2_COLUMNS: list[list[int]] = []
-_STIRLING2_LOCK = threading.Lock()
-
-
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind {n brace k}.
 
-    Counts partitions of an n-set into k non-empty blocks, computed by the
-    triangular recurrence {n brace k} = k {n-1 brace k} + {n-1 brace k-1}
-    with {0 brace 0} = 1. Zero for k > n and for n > 0, k = 0. The
-    recurrence is filled iteratively, over columns 0 .. k and rows down to
-    n only, into a memo shared by all calls.
+    Counts partitions of an n-set into k non-empty blocks. Zero for k > n
+    and for n > 0, k = 0; otherwise entry n - k of :func:`stirling2_column`.
     """
     _natural("n", n)
     _natural("k", k)
-    if k > n:
-        return 0
-    depth = n - k  # {n brace k} sits at depth n - k of column k
-    columns = _STIRLING2_COLUMNS
-    if k < len(columns) and depth < len(columns[k]):
-        return columns[k][depth]
-    with _STIRLING2_LOCK:
-        for j in range(k + 1):
-            if j == len(columns):
-                columns.append([1])  # {j brace j} = 1
-            column = columns[j]
-            # {j + i brace j} = j {j + i - 1 brace j} + {j + i - 1 brace j - 1};
-            # column 0 is 1, 0, 0, ...
-            for i in range(len(column), depth + 1):
-                column.append(j * column[i - 1] + columns[j - 1][i] if j else 0)
-        return columns[k][depth]
+    return stirling2_column(k, n - k)[n - k] if k <= n else 0
 
 
 def stirling2_column(k: int, depth: int) -> list[int]:
     """Column k of the Stirling triangle: {k + i brace k} for i = 0 .. depth.
 
-    The same triangular recurrence as :func:`stirling2`, run in one list
-    of length depth + 1 that is rolled in place from column 0 (1, 0, 0,
-    ...) up to column k: {j + i brace j} = j {j + i - 1 brace j} +
-    {j + i - 1 brace j - 1}, where the second term still sits at index i
-    when index i is overwritten. Nothing is memoised, so a caller that
-    reads one column holds one column.
+    The triangular recurrence {n brace k} = k {n-1 brace k} + {n-1 brace
+    k-1}, {0 brace 0} = 1, run in one list of length depth + 1 that is
+    rolled in place from column 0 (1, 0, 0, ...) up to column k:
+    {j + i brace j} = j {j + i - 1 brace j} + {j + i - 1 brace j - 1},
+    where the second term still sits at index i when index i is
+    overwritten. A caller that reads one column holds one column.
     """
     _natural("k", k)
     column = [1] + [0] * _natural("depth", depth)
@@ -127,8 +103,9 @@ def stirling2_column(k: int, depth: int) -> list[int]:
 def stirling2_alternating(n: int, k: int) -> int:
     """{n brace k} via the inclusion-exclusion sum (1/k!) sum_i (-1)^(k-i) C(k,i) i^n.
 
-    Deliberately a separate code path from :func:`stirling2`; the two are
-    cross-checked against each other in the test suite. Uses 0**0 == 1.
+    Deliberately a separate code path from the recurrence of
+    :func:`stirling2_column`; the two are cross-checked against each other
+    in the test suite and by ``verify``. Uses 0**0 == 1.
     """
     _natural("n", n)
     _natural("k", k)

@@ -96,6 +96,11 @@ __all__ = [
 
 WORKERS_ENV_VAR = "GINPROD_WORKERS"
 
+#: Most worker threads a run may ask for. The pool starts a thread per
+#: batch up to its worker count, and :func:`_batches` makes about one batch
+#: per worker, so an unbounded count would ask the OS for that many threads.
+MAX_WORKERS = 256
+
 #: Relative tolerance for the sum-of-squares vs Frobenius-norm consistency
 #: check applied to every sample.
 SVD_CONSISTENCY_RTOL = 1e-8
@@ -134,18 +139,20 @@ _BLAS_THREAD_SYMBOLS = (
 
 
 def default_workers() -> int:
-    """Worker count from the environment (GINPROD_WORKERS), default the usable cores."""
+    """Worker count from the environment (GINPROD_WORKERS), default the usable cores.
+
+    The cores are counted up to :data:`MAX_WORKERS`; a larger GINPROD_WORKERS is refused.
+    """
     raw = os.environ.get(WORKERS_ENV_VAR)
     if raw is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        return min(cores, MAX_WORKERS)
     try:
         workers = int(raw)
     except ValueError:
         raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be >= 1, got {workers}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"{WORKERS_ENV_VAR} must be in [1, {MAX_WORKERS}], got {workers}")
     return workers
 
 
@@ -182,7 +189,8 @@ class RunConfig:
             raise ValueError(f"replicates must be <= 2**32, got {self.replicates}")
         if _natural("master_seed", self.master_seed) >= 2**64:
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
-        _natural("workers", self.workers, 1)
+        if _natural("workers", self.workers, 1) > MAX_WORKERS:
+            raise ValueError(f"workers must be <= {MAX_WORKERS}, got {self.workers}")
 
 
 @dataclass

@@ -181,14 +181,18 @@ def _suite_beta_bounds(profile: str) -> SuiteResult:
                 point = (m, n, bv.k)
                 if report.all_ok:
                     suite.check(point, True, "")
-                else:
-                    for row in report.rows:
-                        if not row.ok:
-                            suite.check(
-                                point + (row.r,),
-                                False,
-                                f"coefficient {row.beta} outside [{row.lower}, {row.upper}]",
-                            )
+                    continue
+                # The rows decide the bounds again in Fractions and name each r
+                # outside them; a failed check they do not confirm still fails.
+                bad = [row for row in report.rows if not row.ok]
+                for row in bad:
+                    suite.check(
+                        point + (row.r,),
+                        False,
+                        f"coefficient {row.beta} outside [{row.lower}, {row.upper}]",
+                    )
+                if not bad:
+                    suite.check(point, False, "integer bound check failed where every Fraction row holds")
     return suite
 
 

@@ -58,6 +58,17 @@ class TestEdgeCommand:
         assert code == 0
         assert out.strip() == "4"
 
+    def test_value_past_the_int_digit_limit(self, capsys):
+        # u_2000 has numerator and denominator past the default 4300 digits;
+        # edge formats it in its handler, which runs with the limit lifted.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = limit()
+        code, out, err = run_cli(capsys, "edge", "--m", "2000")
+        assert (code, err) == (0, "")
+        assert limit() == before
+        with ginprod.cli._any_int_digits():
+            assert Fraction(out) == ginprod.edge_analysis.edge_constant(2000).u
+
     def test_bad_m_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "edge", "--m", "0")
         assert code == 2
@@ -291,12 +302,17 @@ class TestSimulateCommand:
         (("--kmax", "0"), None, "k_max must be >= 1, got 0"),
         (("--replicates", str(2**32 + 1)), None, f"replicates must be <= 2**32, got {2**32 + 1}"),
         ((), "abc", "GINPROD_WORKERS must be an integer, got 'abc'"),
+        (("--workers", "100000"), None, "workers must be <= 256, got 100000"),
+        ((), "100000", "GINPROD_WORKERS must be in [1, 256], got 100000"),
     ])
     def test_bad_run_options_are_refused_before_sampling(self, capsys, monkeypatch, extra, env, message):
+        # Neither sampling nor its thread pool may start: a worker count past
+        # the cap would ask the OS for that many threads.
         def never(*args, **kwargs):
             raise AssertionError("sampled before the run options were checked")
 
         monkeypatch.setattr(ginprod.montecarlo, "collect_spectra", never)
+        monkeypatch.setattr(ginprod.montecarlo, "ThreadPoolExecutor", never)
         if env is not None:
             monkeypatch.setenv(ginprod.montecarlo.WORKERS_ENV_VAR, env)
         code, out, err = run_cli(

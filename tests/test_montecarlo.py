@@ -20,6 +20,7 @@ import ginprod.montecarlo
 from ginprod.moment_engine import MomentQuery, moment_falling_sum
 from ginprod.montecarlo import (
     GinibreSpec,
+    MAX_WORKERS,
     RunConfig,
     WORKERS_ENV_VAR,
     _batches,
@@ -89,6 +90,9 @@ class TestSpecValidation:
             RunConfig(replicates=5, master_seed=2**64)
         with pytest.raises(ValueError):
             RunConfig(replicates=5, master_seed=1, workers=0)
+        assert RunConfig(replicates=5, master_seed=1, workers=MAX_WORKERS).workers == MAX_WORKERS
+        with pytest.raises(ValueError, match=f"^workers must be <= {MAX_WORKERS}, got {MAX_WORKERS + 1}$"):
+            RunConfig(replicates=5, master_seed=1, workers=MAX_WORKERS + 1)
         # Every replicate index is one 32-bit seed word; only the configs are built.
         assert RunConfig(replicates=2**32, master_seed=1).replicates == 2**32
         with pytest.raises(ValueError, match=r"replicates must be <= 2\*\*32"):
@@ -116,6 +120,14 @@ class TestSpecValidation:
         monkeypatch.setenv(WORKERS_ENV_VAR, "0")
         with pytest.raises(ValueError):
             default_workers()
+        monkeypatch.setenv(WORKERS_ENV_VAR, str(MAX_WORKERS))
+        assert default_workers() == MAX_WORKERS
+        monkeypatch.setenv(WORKERS_ENV_VAR, str(MAX_WORKERS + 1))
+        with pytest.raises(ValueError, match=rf"^{WORKERS_ENV_VAR} must be in \[1, {MAX_WORKERS}\], got {MAX_WORKERS + 1}$"):
+            default_workers()
+        monkeypatch.delenv(WORKERS_ENV_VAR)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4 * MAX_WORKERS)))
+        assert default_workers() == MAX_WORKERS
         monkeypatch.setenv(WORKERS_ENV_VAR, "abc")
         with pytest.raises(ValueError, match=f"{WORKERS_ENV_VAR} must be an integer, got 'abc'"):
             default_workers()

@@ -1,5 +1,6 @@
 """Unit tests for the identity-suite runner."""
 
+import dataclasses
 from fractions import Fraction
 from math import comb
 
@@ -133,6 +134,27 @@ class TestFaultInjection:
         lower = upper * Fraction(n - k + 1, n) ** (degree - r)
         assert f"[{lower}, {upper}]" in bounds.failures[0].message
         assert report.as_dict()["ok"] is False
+
+    def test_failed_integer_check_is_recorded_without_a_failing_row(self, monkeypatch):
+        # The rows decide the bounds again in Fractions. A check that reports
+        # a failure on an untouched vector, which every row clears, must
+        # still fail the suite at (m, n, k).
+        m, n, k = 2, 5, 3
+        real = ginprod.beta_poly.beta_bounds_check
+
+        def corrupted(bv):
+            report = real(bv)
+            if (bv.m, bv.n, bv.k) == (m, n, k):
+                report = dataclasses.replace(report, all_ok=False)
+            return report
+
+        monkeypatch.setattr(ginprod.beta_poly, "beta_bounds_check", corrupted)
+        report = run_verify("quick")
+        assert not report.ok
+        bounds = next(s for s in report.suites if s.name == "beta_bounds")
+        assert [f.point for f in bounds.failures] == [(m, n, k)]
+        assert bounds.checks == 330
+        assert {f.suite for f in report.failures} == {"beta_bounds"}
 
     def test_corrupted_single_expansion_is_caught(self, monkeypatch):
         # compute_beta feeds the Stirling-form moment: a unit added to one
