@@ -342,13 +342,14 @@ def _cmd_simulate(args: argparse.Namespace) -> _Result:
     run_meta = {"m": args.m, "n": args.n, "field": args.field}
 
     def documents():
-        # Lazily, so one replicate's file is written before the next is built.
+        # Lazily, so one replicate's file is written before the next is built. The
+        # rows hold Python floats, which format faster than numpy's scalars.
         if args.replicate_csv is not None:
-            rows = enumerate(spectra[:, 0])
+            rows = enumerate(spectra[:, 0].tolist())
             yield args.replicate_csv, _Table(run_meta, ["replicate_index", "s1_sq"], rows)
         if args.spectrum_dir is not None:
             for r, spectrum in enumerate(spectra):
-                rows = enumerate(spectrum, start=1)
+                rows = enumerate(spectrum.tolist(), start=1)
                 path = str(Path(args.spectrum_dir) / f"spectrum_{r:06d}.csv")
                 yield path, _Table({**run_meta, "replicate_index": r}, ["rank", "s_sq"], rows)
         yield args.output, summary

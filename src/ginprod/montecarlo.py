@@ -51,6 +51,25 @@ keep the byte-bounded batches. A run with fewer replicates than twice
 the floor gets batches below it, whose decompositions still hold the
 GIL and so run one at a time.
 
+A batch whose draws fit ``BATCH_DRAW_BYTES`` holds them all, and its
+factors are built and multiplied for the whole batch at once: up to
+m + 3 n x n arrays per replicate. A batch over the budget (a replicate
+too large for it alone, or a floor batch) is streamed instead: each
+replicate's factors are drawn one at a time, scaled where they were
+drawn, and multiplied into the replicate's row of the batch's product
+array through one spare product buffer; a complex factor's draws are
+made in whichever product-sized buffer is free. Such a batch holds its
+b product rows, the spare and one factor: b + 2 n x n arrays, so at
+b = 1 three for any m, where holding the draws takes up to m + 3. At
+m = 1 it holds the rows alone, plus the spare for complex entries.
+These buffers belong to one worker for one :func:`collect_spectra`
+call: made for its first streamed batch, made again only for a deeper
+one, and freed when the call returns; made per batch instead, they
+left a one-worker ``converge`` over n = 64..512 about 5% slower. Small
+replicates keep the whole-batch way, whose per-replicate Python work is
+one fill: streamed, a ``simulate`` run of 20,000 complex n = 4, m = 2
+replicates took 2.3 times as long.
+
 The streams are derived in bulk: once per run, numpy's own
 ``SeedSequence(master_seed, spawn_key=(n, m, field))`` mixes the run's
 fixed words, and each batch mixes only r into that pool, for all its
@@ -109,7 +128,9 @@ SVD_CONSISTENCY_RTOL = 1e-8
 #: at once. A replicate whose share alone exceeds it is sampled in a batch of
 #: one. Runs with more than one worker may exceed it, up to about
 #: 4 MB x m x parts of draws per batch, to reach the floor of
-#: ``SVD_GIL_THRESHOLD // n + 1`` replicates (see :func:`_batches`).
+#: ``SVD_GIL_THRESHOLD // n + 1`` replicates (see :func:`_batches`). A batch
+#: whose draws exceed it never holds them: it draws one factor at a time
+#: into at most b + 2 n x n arrays (see :func:`_sample_batch`).
 BATCH_DRAW_BYTES = 1 << 20
 
 #: numpy's stacked ``np.linalg.svd`` releases the GIL only for a loop of more
@@ -304,30 +325,100 @@ def _factor(spec: GinibreSpec, draws: np.ndarray, j: int) -> np.ndarray:
     return (draws[:, j, 0] + 1j * draws[:, j, 1]) / np.sqrt(2 * n)
 
 
-def _sample_batch(spec: GinibreSpec, prefix: tuple, batch: range) -> np.ndarray:
+def _draw_bytes(spec: GinibreSpec) -> int:
+    """Bytes of one replicate's standard normals."""
+    return math.prod(_draw_shape(spec)) * np.dtype(np.float64).itemsize
+
+
+def _draw_factor(
+    spec: GinibreSpec, rng: np.random.Generator, out: np.ndarray, scratch: np.ndarray | None
+) -> None:
+    """Draw the stream's next factor into ``out``, with the entry law of :func:`_factor` and its bits.
+
+    A complex factor's draws are made in ``scratch``, a free array of out's
+    shape and dtype, whose memory holds its real and imaginary parts.
+    """
+    if spec.field == "real":
+        rng.standard_normal(out=out)
+        out /= np.sqrt(spec.n)
+        return
+    draws = scratch.view(np.float64).reshape(2, spec.n, spec.n)
+    rng.standard_normal(out=draws)
+    out.real = draws[0]
+    out.imag = draws[1]
+    out /= np.sqrt(2 * spec.n)
+
+
+def _streamed_products(
+    spec: GinibreSpec, rng: np.random.Generator, states: Iterator[dict], buffers: threading.local, b: int
+) -> np.ndarray:
+    """The products W_1...W_m of b states, shape (b, n, n), drawn and multiplied one factor at a time.
+
+    They are built in this worker's buffers, kept in ``buffers`` for the
+    call: a (b', n, n) product array, made again only for a deeper batch,
+    a spare product when m > 1 or the entries are complex, and a factor
+    when m > 1. Real factors are drawn in place; a complex factor's draws
+    are made in whichever product-sized buffer is free. Partial products
+    alternate between a replicate's row and the spare so that the last
+    lands in the row.
+    """
+    held = getattr(buffers, "held", None)
+    if held is None or len(held[0]) < b:
+        held = buffers.held = None  # drop a shallower set before making this one
+        n, dtype = spec.n, np.float64 if spec.field == "real" else np.complex128
+        spare = np.empty((n, n), dtype) if spec.m > 1 or spec.field == "complex" else None
+        factor = np.empty((n, n), dtype) if spec.m > 1 else None
+        buffers.held = held = (np.empty((b, n, n), dtype), spare, factor)
+    products, spare, factor = held
+    for i, state in enumerate(states):
+        rng.bit_generator.state = state
+        # partial[j] holds W_1...W_{j+1}; partial[1] is free while W_1 is
+        # drawn, and partial[j] while W_{j+1} is, until the product lands in it.
+        partial = [products[i] if (spec.m - j) % 2 else spare for j in range(spec.m + 1)]
+        _draw_factor(spec, rng, partial[0], partial[1])
+        for j in range(1, spec.m):
+            _draw_factor(spec, rng, factor, partial[j])
+            np.matmul(partial[j - 1], factor, out=partial[j])
+    return products[:b]
+
+
+def _sample_batch(spec: GinibreSpec, prefix: tuple, batch: range, buffers: threading.local) -> np.ndarray:
     """Squared singular values, shape (b, n), each row in descending order.
 
     Row i is replicate ``batch[i]``, drawn from the stream of
     ``replicate_rng(spec, master_seed, batch[i])`` (``prefix`` is
     ``_seed_prefix(spec, master_seed)``): one generator per batch is set to
-    each replicate's state in turn. One fill per replicate consumes its
-    stream factor by factor, each factor's real part before its imaginary
-    part. Factors are built one at a time and the draws are freed before
-    the decomposition, so a batch never holds all factors next to the raw
-    draws. A failed or non-finite decomposition, or one whose sum of
-    squares misses ||W||_F^2, raises and names the failing replicate.
+    each replicate's state in turn. Each stream yields its factors in order,
+    each factor's real part before its imaginary part.
+
+    A batch within ``BATCH_DRAW_BYTES`` of draws fills all its replicates'
+    draws first, then builds the factors one at a time and multiplies them
+    for the whole batch at once; the draws are freed before the
+    decomposition. A batch whose draws would exceed the budget is streamed
+    through this worker's ``buffers`` (see :func:`_streamed_products`):
+    each replicate's factors are drawn one at a time and multiplied into
+    its row of the product array, so a replicate holds three n x n arrays
+    rather than up to m + 3. Both ways give the same bits.
+
+    A failed or non-finite decomposition, or one whose sum of squares
+    misses ||W||_F^2, raises and names the failing replicate.
     """
-    draws = np.empty((len(batch), *_draw_shape(spec)))
+    streamed = len(batch) * _draw_bytes(spec) > BATCH_DRAW_BYTES
+    # The draws are made before the generator: that order samples within-budget batches faster.
+    draws = None if streamed else np.empty((len(batch), *_draw_shape(spec)))
     # Seeded from the run's sequence, so no OS entropy is read; each replicate's state replaces it.
     rng = np.random.Generator(np.random.PCG64(prefix[0]))
     states = _replicate_states(prefix, np.arange(batch.start, batch.stop))
-    for i, state in enumerate(states):
-        rng.bit_generator.state = state
-        rng.standard_normal(out=draws[i])
-    product = _factor(spec, draws, 0)
-    for j in range(1, spec.m):
-        product = product @ _factor(spec, draws, j)
-    del draws
+    if streamed:
+        product = _streamed_products(spec, rng, states, buffers, len(batch))
+    else:
+        for i, state in enumerate(states):
+            rng.bit_generator.state = state
+            rng.standard_normal(out=draws[i])
+        product = _factor(spec, draws, 0)
+        for j in range(1, spec.m):
+            product = product @ _factor(spec, draws, j)
+        del draws
     try:
         singular = np.linalg.svd(product, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -363,12 +454,14 @@ def _batches(spec: GinibreSpec, config: RunConfig) -> list[range]:
     SVD_GIL_THRESHOLD (``NPY_BEGIN_THREADS_THRESHOLDED``, in numpy's
     ``ndarraytypes.h``), so smaller batches would serialise the workers'
     decompositions. The floor may exceed the byte budget, up to about
-    4 MB x m x parts of draws at n = 500. One-worker runs keep the
-    byte-bounded batches. A run of fewer than twice the floor's replicates
-    gets batches below the floor, whose decompositions still hold the GIL.
+    4 MB x m x parts of draws at n = 500; such a batch, like a replicate
+    over the budget alone, is streamed one factor at a time and holds at
+    most b + 2 n x n arrays, not its draws (see :func:`_sample_batch`).
+    One-worker runs keep the byte-bounded batches. A run of fewer than
+    twice the floor's replicates gets batches below the floor, whose
+    decompositions still hold the GIL.
     """
-    draw_bytes = math.prod(_draw_shape(spec)) * np.dtype(np.float64).itemsize
-    size = BATCH_DRAW_BYTES // (draw_bytes + SEED_BYTES)
+    size = BATCH_DRAW_BYTES // (_draw_bytes(spec) + SEED_BYTES)
     if config.workers > 1:
         size = max(size, SVD_GIL_THRESHOLD // spec.n + 1)
     per_worker = -(-config.replicates // config.workers)
@@ -452,11 +545,12 @@ def collect_spectra(spec: GinibreSpec, config: RunConfig) -> np.ndarray:
     spectra = np.empty((config.replicates, spec.n))
     prefix = _seed_prefix(spec, config.master_seed)
     failed = threading.Event()  # set by a batch that raised, so the batches after it are skipped
+    buffers = threading.local()  # each worker's streaming buffers, freed when this call returns
 
     def run(batch: range) -> None:
         try:
             if not failed.is_set():
-                spectra[batch.start : batch.stop] = _sample_batch(spec, prefix, batch)
+                spectra[batch.start : batch.stop] = _sample_batch(spec, prefix, batch, buffers)
         except BaseException:
             failed.set()
             raise

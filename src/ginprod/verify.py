@@ -32,6 +32,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from . import beta_poly, combinatorics, edge_analysis, moment_engine
 
@@ -69,10 +70,15 @@ class SuiteResult:
     def ok(self) -> bool:
         return not self.failures
 
-    def check(self, point: tuple, ok: bool, message: str) -> None:
+    def check(self, point: tuple, ok: bool, message: Callable[[], str]) -> None:
+        """Count one check; if it failed, record ``message()`` at ``point``.
+
+        The message is built only for a failure: formatting the big ints and
+        Fractions of every passing check took a third of the stirling suite.
+        """
         self.checks += 1
         if not ok:
-            self.failures.append(CheckFailure(self.name, point, message))
+            self.failures.append(CheckFailure(self.name, point, message()))
 
 
 @dataclass
@@ -139,7 +145,7 @@ def _suite_cross_formula(profile: str) -> SuiteResult:
         suite.check(
             (m, n, k),
             report.agree,
-            "formulations disagree: gamma_sum=%s falling_sum=%s stirling_beta=%s"
+            lambda: "formulations disagree: gamma_sum=%s falling_sum=%s stirling_beta=%s"
             % (report.gamma_sum.value, report.falling_sum.value, report.stirling_beta.value),
         )
 
@@ -148,13 +154,13 @@ def _suite_cross_formula(profile: str) -> SuiteResult:
     for m in range(1, 5):
         for n in range(1, anchor_n_max + 1):
             got = moment_engine.moment_falling_sum(moment_engine.MomentQuery(m=m, n=n, k=1)).value
-            suite.check((m, n, 1), got == 1, f"first moment should be 1, got {got}")
+            suite.check((m, n, 1), got == 1, lambda: f"first moment should be 1, got {got}")
     for n in range(2, anchor2_n_max + 1):
         got = moment_engine.moment_falling_sum(moment_engine.MomentQuery(m=1, n=n, k=2)).value
-        suite.check((1, n, 2), got == 2, f"second moment (one factor) should be 2, got {got}")
+        suite.check((1, n, 2), got == 2, lambda: f"second moment (one factor) should be 2, got {got}")
         got = moment_engine.moment_falling_sum(moment_engine.MomentQuery(m=2, n=n, k=2)).value
         want = 3 + Fraction(1, n**2)
-        suite.check((2, n, 2), got == want, f"second moment (two factors) should be {want}, got {got}")
+        suite.check((2, n, 2), got == want, lambda: f"second moment (two factors) should be {want}, got {got}")
 
     # Large-n moments sit within 5% of their Fuss-Catalan limits.
     tol = Fraction(1, 20)
@@ -162,7 +168,7 @@ def _suite_cross_formula(profile: str) -> SuiteResult:
         value = moment_engine.moment_falling_sum(moment_engine.MomentQuery(m=m, n=n, k=k)).value
         fc = combinatorics.fuss_catalan(m, k)
         rel = abs(value / fc - 1)
-        suite.check((m, n, k), rel <= tol, f"relative gap to limit {float(rel):.4g} > {float(tol)}")
+        suite.check((m, n, k), rel <= tol, lambda: f"relative gap to limit {float(rel):.4g} > {float(tol)}")
     return suite
 
 
@@ -180,7 +186,7 @@ def _suite_beta_bounds(profile: str) -> SuiteResult:
                 report = beta_poly.beta_bounds_check(bv)
                 point = (m, n, bv.k)
                 if report.all_ok:
-                    suite.check(point, True, "")
+                    suite.check(point, True, lambda: "")
                     continue
                 # The rows decide the bounds again in Fractions and name each r
                 # outside them; a failed check they do not confirm still fails.
@@ -189,10 +195,10 @@ def _suite_beta_bounds(profile: str) -> SuiteResult:
                     suite.check(
                         point + (row.r,),
                         False,
-                        f"coefficient {row.beta} outside [{row.lower}, {row.upper}]",
+                        lambda: f"coefficient {row.beta} outside [{row.lower}, {row.upper}]",
                     )
                 if not bad:
-                    suite.check(point, False, "integer bound check failed where every Fraction row holds")
+                    suite.check(point, False, lambda: "integer bound check failed where every Fraction row holds")
     return suite
 
 
@@ -216,7 +222,7 @@ def _suite_stirling(profile: str) -> SuiteResult:
         for k in range(0, n + 1):
             rec = s2(n, k)
             alt = combinatorics.stirling2_alternating(n, k)
-            suite.check((n, k), rec == alt, f"recurrence {rec} != alternating sum {alt}")
+            suite.check((n, k), rec == alt, lambda: f"recurrence {rec} != alternating sum {alt}")
 
     # Log-concavity along k at fixed n.
     for n in range(1, concave_n + 1):
@@ -224,7 +230,7 @@ def _suite_stirling(profile: str) -> SuiteResult:
             s = s2(n, k)
             lo = s2(n, k - 1)
             hi = s2(n, k + 1)
-            suite.check((n, k), s * s >= lo * hi, f"log-concavity fails: {s}^2 < {lo}*{hi}")
+            suite.check((n, k), s * s >= lo * hi, lambda: f"log-concavity fails: {s}^2 < {lo}*{hi}")
 
     # Consecutive-ratio identity and its quadratic upper bound.
     for r in range(2, ratio_r + 1):
@@ -234,9 +240,9 @@ def _suite_stirling(profile: str) -> SuiteResult:
             prev_col = s2(r, km1 - 1)
             ratio = Fraction(nxt, cur)
             identity = km1 + Fraction(prev_col, cur)
-            suite.check((r, km1), ratio == identity, f"ratio identity fails: {ratio} != {identity}")
+            suite.check((r, km1), ratio == identity, lambda: f"ratio identity fails: {ratio} != {identity}")
             bound = Fraction(r * (r + 1), 2)
-            suite.check((r, km1), ratio <= bound, f"ratio {ratio} exceeds {bound}")
+            suite.check((r, km1), ratio <= bound, lambda: f"ratio {ratio} exceeds {bound}")
     return suite
 
 
@@ -252,18 +258,18 @@ def _suite_dominance(profile: str) -> SuiteResult:
         for r, ratio, bound, ok in zip(
             report.r_values, report.ratios, report.ratio_bounds, report.ratio_ok
         ):
-            suite.check((m, n, k, r), ok, f"term ratio {float(ratio):.4g} not below {float(bound):.4g}")
+            suite.check((m, n, k, r), ok, lambda: f"term ratio {float(ratio):.4g} not below {float(bound):.4g}")
         suite.check(
             (m, n, k),
             report.first_term_share >= share_floor,
-            f"first-term share {float(report.first_term_share):.4g} below 0.9",
+            lambda: f"first-term share {float(report.first_term_share):.4g} below 0.9",
         )
         # The reconstructed sum must reproduce the engine's scaled moment.
         engine = moment_engine.moment_stirling_beta(moment_engine.MomentQuery(m=m, n=n, k=k))
         suite.check(
             (m, n, k),
             report.scaled_moment == engine.scaled,
-            "dominance terms do not reconstruct the scaled moment",
+            lambda: "dominance terms do not reconstruct the scaled moment",
         )
     return suite
 
@@ -284,16 +290,16 @@ def _suite_asymptotic(profile: str) -> SuiteResult:
             suite.check(
                 (m, k),
                 lower <= chk.exact <= chk.mid_form,
-                f"leading coefficient {chk.exact} outside [{lower}, {chk.mid_form}]",
+                lambda: f"leading coefficient {chk.exact} outside [{lower}, {chk.mid_form}]",
             )
             errs.append(chk.rel_err_mid_closed)
         for i in range(1, len(errs)):
             suite.check(
                 (m, ks[i]),
                 errs[i] < errs[i - 1],
-                f"relative error grew: {errs[i - 1]:.4g} -> {errs[i]:.4g}",
+                lambda: f"relative error grew: {errs[i - 1]:.4g} -> {errs[i]:.4g}",
             )
-        suite.check((m, ks[-1]), errs[-1] <= 0.10, f"relative error {errs[-1]:.4g} > 0.10 at k={ks[-1]}")
+        suite.check((m, ks[-1]), errs[-1] <= 0.10, lambda: f"relative error {errs[-1]:.4g} > 0.10 at k={ks[-1]}")
     return suite
 
 

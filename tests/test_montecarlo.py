@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -179,6 +180,23 @@ def _replicate_bytes(spec):
     return spec.m * (1 if spec.field == "real" else 2) * spec.n**2 * 8 + ginprod.montecarlo.SEED_BYTES
 
 
+def _streaming_budget(spec):
+    """A batch budget one byte below one replicate's draws, so that every batch streams."""
+    return _replicate_bytes(spec) - ginprod.montecarlo.SEED_BYTES - 1
+
+
+def _traced_peak(spec):
+    """Traced peak of one warmed-up replicate at one worker, in n x n arrays of its entries."""
+    _spectra(spec, 1)
+    tracemalloc.start()
+    try:
+        _spectra(spec, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (spec.n**2 * (8 if spec.field == "real" else 16))
+
+
 def _batch_sizes(spec, replicates, workers):
     """The replicate count of each batch a run samples, in order."""
     batches = _batches(spec, RunConfig(replicates=replicates, master_seed=SEED, workers=workers))
@@ -227,18 +245,35 @@ class TestBatchSizing:
 
 class TestBatchKernel:
     @pytest.mark.parametrize("field", ["real", "complex"])
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_batches_match_single_replicates(self, monkeypatch, field, m, workers):
-        # Three replicates per batch by bytes at one worker. More workers raise
-        # a batch to the floor of 500 // 5 + 1 = 101 replicates, capped at the
-        # per-worker share: six at two workers, two at eight. 11 replicates
-        # leave a ragged last batch at every worker count.
+        # Three replicates per batch by bytes at one worker, or one when the
+        # budget is below one replicate's draws and every batch streams. More
+        # workers raise a batch to the floor of 500 // 5 + 1 = 101 replicates,
+        # capped at the per-worker share: six at two workers, two at eight.
+        # 11 replicates leave a ragged last batch at every floor.
         spec = GinibreSpec(n=5, m=m, field=field)
-        monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", 3 * _replicate_bytes(spec))
-        assert _batch_sizes(spec, 11, workers) == {1: [3, 3, 3, 2], 2: [6, 5], 8: [2, 2, 2, 2, 2, 1]}[workers]
-        rows = [_reference_spectrum(spec, r) for r in range(11)]
-        assert np.array_equal(_spectra(spec, 11, workers), np.vstack(rows))
+        rows = np.vstack([_reference_spectrum(spec, r) for r in range(11)])
+        for budget, by_bytes in ((3 * _replicate_bytes(spec), [3, 3, 3, 2]), (_streaming_budget(spec), [1] * 11)):
+            monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", budget)
+            assert _batch_sizes(spec, 11, workers) == {1: by_bytes, 2: [6, 5], 8: [2, 2, 2, 2, 2, 1]}[workers]
+            assert np.array_equal(_spectra(spec, 11, workers), rows)
+
+    @pytest.mark.parametrize(
+        "field, m, limit", [("real", 3, 3.5), ("complex", 2, 3.5), ("real", 1, None), ("complex", 1, None)]
+    )
+    def test_streamed_replicate_memory(self, monkeypatch, field, m, limit):
+        # tracemalloc sees numpy's array data, not LAPACK's workspace. At
+        # n = 256 one real m = 3 or complex m = 2 replicate is over the byte
+        # budget: streamed, it holds three n x n arrays of its entries, where
+        # holding its draws took six and five. At m = 1 a replicate
+        # fits the budget, and streaming it holds no more than its draws did.
+        spec = GinibreSpec(n=256, m=m, field=field)
+        if limit is None:
+            limit = _traced_peak(spec)
+            monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", _streaming_budget(spec))
+        assert _traced_peak(spec) <= limit
 
     def test_draw_factors_are_the_multiplied_factors(self):
         # Each factor consumes the stream in order: n x n real parts, then
@@ -253,24 +288,35 @@ class TestBatchKernel:
 
     @pytest.mark.parametrize("scale, message", [(np.nan, "non-finite"), (1.01, "Frobenius")])
     def test_bad_replicate_is_named(self, monkeypatch, scale, message):
-        # Spoil the second row of the second batch (of four replicates):
-        # the error must name replicate 5, not the row within its batch.
+        # Spoil the second row of the second batch of four, replicate 5: the
+        # error must name replicate 5, not the row within its batch. Within
+        # the budget one worker takes batches of four; below one replicate's
+        # draws two workers stream floor batches capped at their share of 8.
         spec = GinibreSpec(n=3, m=2, field="complex")
-        monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", 4 * _replicate_bytes(spec))
+        first_of_second = _reference_product(spec, 4)
         real_svd = np.linalg.svd
         shapes = []
 
         def svd(a, *args, **kwargs):
             singular = real_svd(a, *args, **kwargs)
             shapes.append(a.shape)
-            if len(shapes) == 2:
+            if np.array_equal(a[0], first_of_second):
                 singular[1] *= scale
             return singular
 
         monkeypatch.setattr(np.linalg, "svd", svd)
-        with pytest.raises(ArithmeticError, match=f"{message}.*replicate 5"):
-            collect_spectra(spec, RunConfig(replicates=10, master_seed=SEED, workers=1))
-        assert shapes == [(4, 3, 3), (4, 3, 3)]
+        # One worker decomposes the first two batches in order and skips the
+        # rest; two workers may each have started their batch.
+        for budget, replicates, workers, ran in (
+            (4 * _replicate_bytes(spec), 10, 1, lambda shapes: shapes == [(4, 3, 3), (4, 3, 3)]),
+            (_streaming_budget(spec), 8, 2, lambda shapes: set(shapes) == {(4, 3, 3)} and len(shapes) <= 2),
+        ):
+            monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", budget)
+            assert _batch_sizes(spec, replicates, workers)[:2] == [4, 4]
+            shapes.clear()
+            with pytest.raises(ArithmeticError, match=f"{message}.*replicate 5"):
+                collect_spectra(spec, RunConfig(replicates=replicates, master_seed=SEED, workers=workers))
+            assert ran(shapes), shapes
 
 
 class TestSeeding:

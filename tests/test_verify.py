@@ -112,7 +112,8 @@ class TestFaultInjection:
     def test_corrupted_beta_is_caught(self, monkeypatch):
         # One cleared coefficient one unit above its upper bound
         # C(N, r) n^(N-r), in the vector grown for k at (m, n): the bound
-        # suite names (m, n, k, r) and prints the failing row's exact bounds.
+        # suite names (m, n, k, r) and prints the failing row's coefficient
+        # and exact bounds.
         m, n, k, r = 2, 5, 3, 4
         real = ginprod.beta_poly.beta_vectors
 
@@ -132,7 +133,8 @@ class TestFaultInjection:
         degree = (m + 1) * k
         upper = comb(degree, r)
         lower = upper * Fraction(n - k + 1, n) ** (degree - r)
-        assert f"[{lower}, {upper}]" in bounds.failures[0].message
+        beta = upper + Fraction(1, n ** (degree - r))
+        assert bounds.failures[0].message == f"coefficient {beta} outside [{lower}, {upper}]"
         assert report.as_dict()["ok"] is False
 
     def test_failed_integer_check_is_recorded_without_a_failing_row(self, monkeypatch):
