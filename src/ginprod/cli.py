@@ -3,7 +3,9 @@ r"""Command-line front end.
 One subcommand per quantity: exact edge constants, exact moments, the
 coefficient vector with its bounds, term-dominance tables, tail bounds
 along the k_n = ceil(w log n) schedule, Monte Carlo sampling, edge
-convergence tables, and the exact identity suites.
+convergence tables, and the exact identity suites. Each is one row of
+``_COMMANDS``, from which ``--help`` builds both its command list and its
+quantity-to-command map.
 
 Handlers do no I/O: each returns its exit status and its documents (a
 text block, a CSV table or a JSON object), each paired with a path or
@@ -18,11 +20,9 @@ Output contracts:
   inside a metadata value is written as its Python escape (\n, \r, \x0c,
   ... for every break ``str.splitlines`` knows), so each value stays on
   its one '#' line.
-- Each CSV row is its cells joined by commas. A cell is quoted only where
-  ``csv.writer(lineterminator="\n")`` quotes it (a comma, a double quote
-  or a line feed inside; a row that is one empty cell), and also at a
-  carriage return, which that writer leaves bare on Python 3.11 although
-  ``csv.reader`` ends the row there.
+- Each CSV row is its cells joined by commas. Every cell is a number, a
+  "p/q" rational, true/false, a header name or empty, so no cell needs
+  quoting.
 - Handlers return raw values and ``_cell`` alone writes them, in CSV and
   for JSON rationals: floats with 17 significant digits, bools as
   true/false, rationals as "p/q", None as an empty cell.
@@ -65,19 +65,6 @@ from .combinatorics import _natural, fuss_catalan
 
 __all__ = ["main", "build_parser"]
 
-_EPILOG = """\
-quantity-to-command map:
-  spectral-edge constant (m+1)^(m+1)/m^m ............... edge
-  exact finite-n spectral moments ...................... moments
-  edge-polynomial coefficients with two-sided bounds ... beta
-  term decay of the coefficient-weighted moment sum .... dominance
-  tail bound along the k_n = ceil(w log n) schedule .... tailbound
-  sampled product spectra and empirical moments ........ simulate
-  largest-value convergence table over an n-grid ....... converge
-  exact identity suites (quick or full grids) .......... verify
-"""
-
-
 class _Table(NamedTuple):
     """A CSV document: its own '#' metadata lines, a header row and rows of raw values."""
     meta: dict
@@ -105,26 +92,9 @@ def _cell(value: object) -> str:
 _LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
 
 
-def _quoted(cell: str) -> str:
-    """The cell in double quotes, its own quotes doubled, if it holds a comma, a quote or a line break."""
-    if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
-
-
 def _csv_line(cells: list[str]) -> str:
-    r"""One CSV row and its line feed, quoted as the module docstring says.
-
-    ``csv.writer`` copies a row one character at a time; a join copies it
-    in bulk. Most rows need no quotes, and the joined row shows that in a
-    few scans: no quote, no line break, one comma fewer than cells.
-    """
-    line = ",".join(cells)
-    if line.count(",") >= len(cells) or '"' in line or "\n" in line or "\r" in line:
-        line = ",".join(map(_quoted, cells))
-    elif cells == [""]:
-        line = '""'  # so a row that is one empty cell is not read as a blank line
-    return line + "\n"
+    """One CSV row and its line feed; no cell the CLI writes needs quoting."""
+    return ",".join(cells) + "\n"
 
 
 def _render(args: argparse.Namespace, doc: str | dict | _Table, fh: TextIO) -> None:
@@ -383,29 +353,49 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
     return exit_code, [(args.output, "".join(lines))]
 
 
+#: Every subcommand: its name, its one description (argparse's help and the
+#: quantity-to-command map), its handler and its shared option groups.
+_COMMANDS = (
+    ("edge", "spectral-edge constant (m+1)^(m+1)/m^m", _cmd_edge, ("m",)),
+    ("moments", "exact finite-n spectral moments (JSON)", _cmd_moments, ("m", "n", "k")),
+    ("beta", "edge-polynomial coefficients with two-sided bounds (CSV)", _cmd_beta, ("m", "n", "k")),
+    ("dominance", "term decay of the coefficient-weighted moment sum (CSV)", _cmd_dominance, ("m", "n", "k")),
+    ("tailbound", "tail bound on the k_n = ceil(w log n) schedule (CSV)", _cmd_tailbound, ("m", "grid")),
+    ("simulate", "sampled product spectra and their moments (JSON, CSVs)", _cmd_simulate, ("run", "m", "n")),
+    ("converge", "largest-value convergence table over an n-grid (CSV)", _cmd_converge, ("run", "m", "grid")),
+    ("verify", "exact identity suites, quick or full grids", _cmd_verify, ()),
+)
+
+
+def _quantity_map() -> str:
+    """The help epilog: each command's description, dotted out to its name."""
+    width = max(len(description) for _, description, _, _ in _COMMANDS) + 4
+    lines = [f"  {description} {'.' * (width - len(description))} {name}\n"
+             for name, description, _, _ in _COMMANDS]
+    return "quantity-to-command map:\n" + "".join(lines)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ginprod",
         description="Exact moments and edge behaviour of Ginibre-product spectra.",
-        epilog=_EPILOG,
+        epilog=_quantity_map(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"ginprod {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     # Options shared by several subcommands, each defined once as an argparse parent parser.
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--output", help="write the report to this path instead of stdout")
-    m = argparse.ArgumentParser(add_help=False)
-    m.add_argument("--m", type=int, required=True, help="number of factors")
-    n = argparse.ArgumentParser(add_help=False)
-    n.add_argument("--n", type=int, required=True, help="matrix size")
-    k = argparse.ArgumentParser(add_help=False)
-    k.add_argument("--k", type=int, required=True, help="moment order")
-    n_grid = argparse.ArgumentParser(add_help=False)
-    n_grid.add_argument("--n-grid", type=_parse_grid, required=True,
-                        help="comma-separated matrix sizes (ascending for converge), e.g. 64,128,256,512")
-    run = argparse.ArgumentParser(add_help=False)
+    groups = {name: argparse.ArgumentParser(add_help=False)
+              for name in ("output", "m", "n", "k", "grid", "run")}
+    groups["output"].add_argument("--output", help="write the report to this path instead of stdout")
+    groups["m"].add_argument("--m", type=int, required=True, help="number of factors")
+    groups["n"].add_argument("--n", type=int, required=True, help="matrix size")
+    groups["k"].add_argument("--k", type=int, required=True, help="moment order")
+    groups["grid"].add_argument(
+        "--n-grid", type=_parse_grid, required=True,
+        help="comma-separated matrix sizes (ascending for converge), e.g. 64,128,256,512")
+    run = groups["run"]
     run.add_argument("--field", choices=("real", "complex"), default="real")
     run.add_argument("--replicates", type=int, required=True)
     run.add_argument("--seed", type=int, required=True, help="master seed (unsigned 64-bit)")
@@ -413,37 +403,26 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"worker threads, at most {montecarlo.MAX_WORKERS} "
                           f"(default: ${montecarlo.WORKERS_ENV_VAR} or the usable cores)")
 
-    def add(name: str, help_text: str, func,
-            *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text, parents=[output, *parents])
-        p.set_defaults(func=func)
-        return p
+    commands = {}
+    for name, description, handler, shared in _COMMANDS:
+        parents = [groups["output"], *(groups[group] for group in shared)]
+        commands[name] = sub.add_parser(name, help=description, parents=parents)
+        commands[name].set_defaults(func=handler)
 
-    add("edge", "print the spectral-edge constant for m factors", _cmd_edge, m)
-
-    p = add("moments", "exact finite-n spectral moments (JSON)", _cmd_moments, m, n, k)
-    p.add_argument("--all-formulas", action="store_true",
-                   help="evaluate all three formulations and cross-check them")
-
-    add("beta", "edge-polynomial coefficients with two-sided bounds (CSV)", _cmd_beta, m, n, k)
-
-    add("dominance", "term decay of the coefficient-weighted moment sum (CSV)", _cmd_dominance, m, n, k)
-
-    p = add("tailbound", "tail bound along the k_n = ceil(w log n) schedule (CSV)", _cmd_tailbound, m, n_grid)
+    # Options of one subcommand each.
+    commands["moments"].add_argument("--all-formulas", action="store_true",
+                                     help="evaluate all three formulations and cross-check them")
+    p = commands["tailbound"]
     p.add_argument("--z", type=Fraction, required=True,
                    help="threshold above the edge constant, e.g. 6 or 27/4 or 10.125")
     p.add_argument("--w", type=float, default=None,
                    help="schedule slope; default is just above the admissible threshold")
-
-    p = add("simulate", "sample product spectra; JSON summary, optional CSVs", _cmd_simulate, run, m, n)
+    p = commands["simulate"]
     p.add_argument("--kmax", type=int, default=None, help="also report empirical moments up to this order")
     p.add_argument("--edge-only", action="store_true", help="report only largest-value statistics")
     p.add_argument("--replicate-csv", default=None, help="write per-replicate s1_sq rows to this path")
     p.add_argument("--spectrum-dir", default=None, help="write one full-spectrum CSV per replicate here")
-
-    add("converge", "largest-value convergence table over an n-grid (CSV)", _cmd_converge, run, m, n_grid)
-
-    p = add("verify", "run the exact identity suites", _cmd_verify)
+    p = commands["verify"]
     p.add_argument("--profile", choices=verify_suites.PROFILES, default="quick")
     p.add_argument("--json", action="store_true", help="emit a machine-readable JSON report")
 

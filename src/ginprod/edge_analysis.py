@@ -35,6 +35,7 @@ __all__ = [
     "AsymptoticCheck",
     "TailSummand",
     "edge_constant",
+    "w_threshold",
     "schedule",
     "dominance_report",
     "beta_leading_asymptotic",
@@ -82,10 +83,16 @@ class TailSchedule:
     u: Fraction
 
     def k_of(self, n: float) -> int:
-        """Moment order at size n; n = 1 is clamped to k = 1."""
+        """Moment order at size n; n = 1 is clamped to k = 1.
+
+        Raises ValueError where w log n leaves the float range.
+        """
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        return max(1, math.ceil(self.w * math.log(n)))
+        order = self.w * math.log(n)
+        if not math.isfinite(order):
+            raise ValueError(f"w log n = {self.w} * log({n}) is beyond the float range")
+        return max(1, math.ceil(order))
 
 
 def w_threshold(m: int, z: Fraction) -> float:
@@ -248,10 +255,23 @@ class TailSummand:
 
 
 def _min_admissible_n(sched: TailSchedule) -> int:
-    n = 2
-    while sched.k_of(n) > n:
-        n += 1
-    return n
+    """The smallest n >= 2 with k_n <= n.
+
+    For an integer n, ceil(w log n) <= n exactly when w log n <= n, and
+    n - w log n falls until n = w and rises after it. So if n = 2 fails,
+    every n up to w fails and every n past the first success succeeds:
+    the answer is found by doubling, then bisecting.
+    """
+    failing, admissible = 1, 2
+    while sched.k_of(admissible) > admissible:
+        failing, admissible = admissible, 2 * admissible
+    while admissible - failing > 1:
+        mid = (failing + admissible) // 2
+        if sched.k_of(mid) > mid:
+            failing = mid
+        else:
+            admissible = mid
+    return admissible
 
 
 def tail_summand(m: int, n: int, z, w: float | None = None) -> TailSummand:

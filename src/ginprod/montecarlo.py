@@ -63,9 +63,9 @@ b product rows, the spare and one factor: b + 2 n x n arrays, so at
 b = 1 three for any m, where holding the draws takes up to m + 3. At
 m = 1 it holds the rows alone, plus the spare for complex entries.
 These buffers belong to one worker for one :func:`collect_spectra`
-call: made for its first streamed batch, made again only for a deeper
-one, and freed when the call returns; made per batch instead, they
-left a one-worker ``converge`` over n = 64..512 about 5% slower. Small
+call: made for its first streamed batch, which is its deepest, and
+freed when the call returns; made per batch instead, they left a
+one-worker ``converge`` over n = 64..512 about 5% slower. Small
 replicates keep the whole-batch way, whose per-replicate Python work is
 one fill: streamed, a ``simulate`` run of 20,000 complex n = 4, m = 2
 replicates took 2.3 times as long.
@@ -130,7 +130,8 @@ SVD_CONSISTENCY_RTOL = 1e-8
 #: 4 MB x m x parts of draws per batch, to reach the floor of
 #: ``SVD_GIL_THRESHOLD // n + 1`` replicates (see :func:`_batches`). A batch
 #: whose draws exceed it never holds them: it draws one factor at a time
-#: into at most b + 2 n x n arrays (see :func:`_sample_batch`).
+#: into at most b + 2 n x n arrays, which its worker makes once per run, on
+#: its first such batch (see :func:`_streamed_products`).
 BATCH_DRAW_BYTES = 1 << 20
 
 #: numpy's stacked ``np.linalg.svd`` releases the GIL only for a loop of more
@@ -354,22 +355,22 @@ def _streamed_products(
 ) -> np.ndarray:
     """The products W_1...W_m of b states, shape (b, n, n), drawn and multiplied one factor at a time.
 
-    They are built in this worker's buffers, kept in ``buffers`` for the
-    call: a (b', n, n) product array, made again only for a deeper batch,
+    They are built in this worker's buffers, made on its first streamed
+    batch and kept in ``buffers`` for the call: a (b, n, n) product array,
     a spare product when m > 1 or the entries are complex, and a factor
-    when m > 1. Real factors are drawn in place; a complex factor's draws
-    are made in whichever product-sized buffer is free. Partial products
-    alternate between a replicate's row and the spare so that the last
-    lands in the row.
+    when m > 1. The first streamed batch is the worker's deepest: the pool
+    hands out batches in order, and :func:`_batches` makes them all one
+    size but the last, which is shorter. Real factors are drawn in place;
+    a complex factor's draws are made in whichever product-sized buffer is
+    free. Partial products alternate between a replicate's row and the
+    spare so that the last lands in the row.
     """
-    held = getattr(buffers, "held", None)
-    if held is None or len(held[0]) < b:
-        held = buffers.held = None  # drop a shallower set before making this one
+    if not hasattr(buffers, "held"):
         n, dtype = spec.n, np.float64 if spec.field == "real" else np.complex128
         spare = np.empty((n, n), dtype) if spec.m > 1 or spec.field == "complex" else None
         factor = np.empty((n, n), dtype) if spec.m > 1 else None
-        buffers.held = held = (np.empty((b, n, n), dtype), spare, factor)
-    products, spare, factor = held
+        buffers.held = (np.empty((b, n, n), dtype), spare, factor)
+    products, spare, factor = buffers.held
     for i, state in enumerate(states):
         rng.bit_generator.state = state
         # partial[j] holds W_1...W_{j+1}; partial[1] is free while W_1 is
@@ -562,23 +563,30 @@ def collect_spectra(spec: GinibreSpec, config: RunConfig) -> np.ndarray:
 
 
 def moments_from_spectra(spectra: np.ndarray, k_max: int) -> EmpiricalMoments:
-    """Moments (1/n) sum_i s_i^(2k), k = 1 .. k_max, of a (replicates, n) spectrum array."""
+    """Moments (1/n) sum_i s_i^(2k), k = 1 .. k_max, of a (replicates, n) spectrum array.
+
+    Raises ArithmeticError naming the first order whose mean or standard
+    error is not finite, as when s^(2k) passes the float range.
+    """
     _natural("k_max", k_max, 1)
     replicates = spectra.shape[0]
     per_replicate = np.empty((replicates, k_max))
     powers = spectra.copy()
-    for k in range(k_max):
-        per_replicate[:, k] = powers.mean(axis=1)
-        powers *= spectra
-    means = per_replicate.mean(axis=0)
-    if replicates > 1:
-        ses = per_replicate.std(axis=0, ddof=1) / np.sqrt(replicates)
-    else:
-        ses = np.zeros(k_max)
-    return EmpiricalMoments(
-        means=means,
-        standard_errors=ses,
-    )
+    # Overflow shows as a non-finite moment, checked below, not as a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(k_max):
+            per_replicate[:, k] = powers.mean(axis=1)
+            powers *= spectra
+        means = per_replicate.mean(axis=0)
+        ses = per_replicate.std(axis=0, ddof=1) / np.sqrt(replicates) if replicates > 1 else np.zeros(k_max)
+    nonfinite = ~(np.isfinite(means) & np.isfinite(ses))
+    if nonfinite.any():
+        k = int(np.argmax(nonfinite)) + 1
+        raise ArithmeticError(
+            f"the empirical moment of order {k} is not finite: mean {float(means[k - 1])}, "
+            f"standard error {float(ses[k - 1])}"
+        )
+    return EmpiricalMoments(means=means, standard_errors=ses)
 
 
 def edge_from_values(values: np.ndarray) -> EdgeEstimate:

@@ -8,6 +8,7 @@ import pytest
 from ginprod.beta_poly import compute_beta
 from ginprod.combinatorics import binomial
 from ginprod.edge_analysis import (
+    _min_admissible_n,
     beta_leading_asymptotic,
     dominance_report,
     edge_constant,
@@ -192,6 +193,17 @@ class TestTailSummand:
         assert "24" in str(err.value)
         # The reported minimum really is admissible.
         assert tail_summand(1, 24, 6).k_n <= 24
+
+    @pytest.mark.parametrize("m, z", [(1, 6), (1, 100), (2, 9), (2, 1000)])
+    def test_admissible_hint_equals_the_linear_scan(self, m, z):
+        threshold = w_threshold(m, Fraction(z))
+        ws = [threshold * (1 + 1e-9), *(threshold * (1e3 / threshold) ** (i / 24) for i in range(1, 25))]
+        for w in ws:
+            sched = schedule(m, z, w_override=w)
+            n = 2
+            while sched.k_of(n) > n:
+                n += 1
+            assert _min_admissible_n(sched) == n, w
 
     def test_n_one_runs_with_clamped_order(self):
         ts = tail_summand(1, 1, 6)

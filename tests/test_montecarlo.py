@@ -562,6 +562,18 @@ class TestMoments:
         assert moments.standard_error(1) == 0.0
         assert moments.standard_error(2) == 0.0
 
+    @pytest.mark.parametrize("spectra, order", [
+        ([[1e200, 1.0], [1e200, 1.0]], 2),  # s^4 overflows: the mean is not finite
+        ([[1e100, 1.0], [3e100, 2.0]], 2),  # the means are finite, the squared deviations are not
+        ([[1e50, 1.0], [1e50, 1.0]], 7),  # s^14 overflows
+    ])
+    def test_moment_past_the_float_range_is_refused(self, spectra, order):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused by the check, not by a numpy warning
+            with pytest.raises(ArithmeticError, match=f"empirical moment of order {order} is not finite"):
+                moments_from_spectra(np.array(spectra), 9)
+            assert np.isfinite(moments_from_spectra(np.array(spectra), order - 1).means).all()
+
     def test_rejects_bad_kmax(self):
         spec = GinibreSpec(n=5, m=1)
         with pytest.raises(ValueError):

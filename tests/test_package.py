@@ -1,0 +1,39 @@
+"""The package surface: its exports, and the README's library quick start."""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import ginprod
+from ginprod import beta_poly, combinatorics, edge_analysis, moment_engine, montecarlo, verify
+
+MODULES = (combinatorics, beta_poly, moment_engine, edge_analysis, montecarlo, verify)
+SRC = Path(ginprod.__file__).parents[1]
+
+
+def test_exports_are_the_modules_own_lists():
+    assert ginprod.__all__ == ["__version__", *(name for module in MODULES for name in module.__all__)]
+    assert len(set(ginprod.__all__)) == len(ginprod.__all__)
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(ginprod, name) is getattr(module, name), name
+
+
+def test_init_names_no_export_in_a_string():
+    tree = ast.parse(Path(ginprod.__file__).read_text(encoding="utf-8"))
+    strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert strings & set(ginprod.__all__) == {"__version__"}
+
+
+def test_readme_quick_start_runs():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
+    done = subprocess.run(
+        [sys.executable, "-c", block], cwd=SRC.parent, env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert 3.5 < float(done.stdout) < 4  # the sampled mean of s_1^2, below u_1 = 4
