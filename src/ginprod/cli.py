@@ -33,7 +33,8 @@ Output contracts:
 - An unusable destination exits 2 before any work: an ``--output`` or
   ``--replicate-csv`` path that is a directory, an unwritable file, or
   lies in a missing or unwritable directory, or a ``--spectrum-dir``
-  whose nearest existing ancestor is not a writable directory. The
+  whose nearest existing ancestor is not a writable directory. So do two
+  destinations of a run that resolve to one file (not a device or pipe). The
   ``--spectrum-dir`` is made when its first file is written.
 - Exit status: 0 success, 1 check failure, 2 usage error, 3 numerical
   failure, 4 internal error (any other exception, reported on one
@@ -49,6 +50,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shlex
 import stat
 import sys
@@ -175,9 +177,20 @@ def _writer(path: str | None) -> Iterator[TextIO]:
         raise
 
 
+def _spectrum_file(args: argparse.Namespace, real: str) -> bool:
+    """Whether the resolved path ``real`` is one of the files this run writes into its --spectrum-dir."""
+    spectrum_dir = getattr(args, "spectrum_dir", None)
+    name = re.fullmatch(r"spectrum_(\d+)\.csv", os.path.basename(real))
+    return (spectrum_dir is not None and name is not None
+            and os.path.dirname(real) == os.path.realpath(spectrum_dir)
+            and name[1] == f"{int(name[1]):06d}" and int(name[1]) < args.replicates)
+
+
 def _check_destinations(args: argparse.Namespace) -> None:
-    """Refuse output paths that cannot be written, before any work; nothing is created yet."""
-    for path in (args.output, getattr(args, "replicate_csv", None)):
+    """Refuse output paths that cannot be written, or one file that the run would write
+    twice, before any work; nothing is created yet."""
+    written: dict[str, str] = {}  # resolved path of each file to be written -> its option
+    for option, path in (("--output", args.output), ("--replicate-csv", getattr(args, "replicate_csv", None))):
         if path is None:
             continue
         parent = os.path.dirname(path) or "."
@@ -188,6 +201,14 @@ def _check_destinations(args: argparse.Namespace) -> None:
             or (_replaced(path) and not os.access(parent, os.W_OK | os.X_OK))
         ):
             raise ValueError(f"cannot write {path}: not a writable file in a writable directory")
+        real = os.path.realpath(path)
+        # A new path, or one that resolves to a regular file (through a symlink, or
+        # /dev/stdout redirected to a file), is truncated by each write; a device or pipe is not.
+        if not os.path.lexists(path) or os.path.isfile(real):
+            other = written.get(real) or ("--spectrum-dir" if _spectrum_file(args, real) else None)
+            if other is not None:
+                raise ValueError(f"cannot write {path} for {option}: the run writes that file for {other} too")
+            written[real] = option
     spectrum_dir = getattr(args, "spectrum_dir", None)
     if spectrum_dir is not None:
         # The directory is made when its first spectrum is written; check that it can be.
@@ -282,8 +303,7 @@ def _run_config(args: argparse.Namespace) -> montecarlo.RunConfig:
 def _cmd_simulate(args: argparse.Namespace) -> _Result:
     spec = montecarlo.GinibreSpec(n=args.n, m=args.m, field=args.field)
     config = _run_config(args)
-    with_moments = args.kmax is not None and not args.edge_only
-    if with_moments:
+    if args.kmax is not None:
         _natural("k_max", args.kmax, 1)  # refuse a bad order before sampling
     spectra = montecarlo.collect_spectra(spec, config)
     edge = montecarlo.edge_from_values(spectra[:, 0])
@@ -303,7 +323,7 @@ def _cmd_simulate(args: argparse.Namespace) -> _Result:
             "standard_error": edge.standard_error,
         },
     }
-    if with_moments:
+    if args.kmax is not None:
         moments = montecarlo.moments_from_spectra(spectra, args.kmax)
         summary["moments"] = [
             {"k": k, "mean": moments.mean(k), "standard_error": moments.standard_error(k)}
@@ -419,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="schedule slope; default is just above the admissible threshold")
     p = commands["simulate"]
     p.add_argument("--kmax", type=int, default=None, help="also report empirical moments up to this order")
-    p.add_argument("--edge-only", action="store_true", help="report only largest-value statistics")
     p.add_argument("--replicate-csv", default=None, help="write per-replicate s1_sq rows to this path")
     p.add_argument("--spectrum-dir", default=None, help="write one full-spectrum CSV per replicate here")
     p = commands["verify"]

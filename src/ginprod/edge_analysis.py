@@ -96,14 +96,24 @@ class TailSchedule:
 
 
 def w_threshold(m: int, z: Fraction) -> float:
-    """The infimum 3 / log(z / u_m) of admissible growth rates w."""
+    """The infimum 3 / log(z / u_m) of admissible growth rates w.
+
+    Raises ValueError unless z > u_m and z / u_m is a float above 1, which
+    keeps the threshold finite and positive.
+    """
     u = edge_constant(m).u
     if z <= u:
         raise ValueError(
             f"z = {z} must exceed the edge constant u_{m} = {u}; "
             "the moment bound is vacuous otherwise"
         )
-    return 3.0 / math.log(float(Fraction(z) / u))
+    try:
+        ratio = float(Fraction(z) / u)
+    except OverflowError:
+        raise ValueError(f"z / u_{m} is beyond the float range") from None
+    if ratio == 1.0:
+        raise ValueError(f"z / u_{m} rounds to 1 as a float, so no finite w is admissible")
+    return 3.0 / math.log(ratio)
 
 
 def schedule(m: int, z, w_override: float | None = None) -> TailSchedule:

@@ -25,50 +25,47 @@ workers. Bit-exactness is promised for repeated runs of this package on
 one platform, not across unrelated implementations of the same contract.
 
 Sampling holds the BLAS numpy loaded at one thread (the worker threads
-own the cores), so the bits no longer depend on ``OPENBLAS_NUM_THREADS``:
+own the cores), so the bits do not depend on ``OPENBLAS_NUM_THREADS``:
 multithreaded BLAS changes the last bits of large complex products. The
 thread control is looked up on the first sampling run; where none is
 found (:func:`blas_pinned` is False) sampling runs unpinned and the bits
-hold only at one BLAS thread count. The cost falls on runs with fewer
-batches than cores, which lose BLAS's own parallelism: on a 2-vCPU host
-one complex m = 2, n = 1536 replicate took 3.3-3.6 s wall pinned, against
-2.2-2.6 s with two BLAS threads (and 4.1-4.8 s of CPU time).
+hold only at one BLAS thread count. Runs with fewer batches than cores
+pay for this, as they lose BLAS's own parallelism.
 
-Replicates are sampled in bounded batches: each replicate's draws come
-from its own stream, and the batch shares one stacked matmul per factor,
-one stacked SVD and one vectorised consistency check. Every operation
+Replicates are sampled in batches, each in two stages. The draw stage
+(:func:`_draw_stage`) builds the batch's products W_1...W_m, each
+replicate's from its own stream; the reduce stage (:func:`_reduce_stage`)
+decomposes them with one stacked SVD and checks them. Every operation
 acts on each replicate's slice exactly as it would on that replicate
-alone, so neither the batch size nor the worker count changes a bit.
-With more than one worker a batch holds at least
-``SVD_GIL_THRESHOLD // n + 1`` replicates, where the per-worker share
-allows, because numpy's stacked SVD releases the GIL only when stack
-size x n exceeds 500 (``NPY_BEGIN_THREADS_THRESHOLDED`` in
-``numpy/_core/include/numpy/ndarraytypes.h``); smaller batches would make
-the workers take turns at their decompositions. The floor can exceed the
-byte budget: a batch then holds at most about 4 MB x m x parts of draws
-(parts is 2 for complex entries), reached at n = 500. One-worker runs
-keep the byte-bounded batches. A run with fewer replicates than twice
-the floor gets batches below it, whose decompositions still hold the
-GIL and so run one at a time.
+alone, so neither the batch size, the way a batch is drawn nor the worker
+count changes a bit. The batching and memory rules, stated here once:
 
-A batch whose draws fit ``BATCH_DRAW_BYTES`` holds them all, and its
-factors are built and multiplied for the whole batch at once: up to
-m + 3 n x n arrays per replicate. A batch over the budget (a replicate
-too large for it alone, or a floor batch) is streamed instead: each
-replicate's factors are drawn one at a time, scaled where they were
-drawn, and multiplied into the replicate's row of the batch's product
-array through one spare product buffer; a complex factor's draws are
-made in whichever product-sized buffer is free. Such a batch holds its
-b product rows, the spare and one factor: b + 2 n x n arrays, so at
-b = 1 three for any m, where holding the draws takes up to m + 3. At
-m = 1 it holds the rows alone, plus the spare for complex entries.
-These buffers belong to one worker for one :func:`collect_spectra`
-call: made for its first streamed batch, which is its deepest, and
-freed when the call returns; made per batch instead, they left a
-one-worker ``converge`` over n = 64..512 about 5% slower. Small
-replicates keep the whole-batch way, whose per-replicate Python work is
-one fill: streamed, a ``simulate`` run of 20,000 complex n = 4, m = 2
-replicates took 2.3 times as long.
+- Budget. A batch holds at most ``BATCH_DRAW_BYTES`` of Gaussian draws
+  and seeding (``SEED_BYTES`` a replicate), and at most
+  ceil(replicates / workers) replicates, so every worker gets a share. A
+  replicate over the budget alone is a batch of one. Batches are handed
+  out in order and all have one size but the last, which is shorter.
+- GIL floor. With more than one worker a batch holds at least
+  ``SVD_GIL_THRESHOLD // n + 1`` replicates, capped at the share:
+  numpy's stacked SVD releases the GIL only when stack size x n exceeds
+  ``SVD_GIL_THRESHOLD``, so smaller batches would make the workers take
+  turns at their decompositions. A floor batch may exceed the budget, up
+  to about 4 MB x m x parts of draws at n = 500 (parts is 2 for complex
+  entries). One-worker runs keep the budget, and a run of fewer than
+  twice the floor's replicates gets batches below it.
+- Held draws. A batch within the budget draws all its replicates first,
+  then builds each factor for the whole batch and multiplies: at most
+  m + 3 n x n arrays a replicate, m + 1 at m = 1. Its per-replicate
+  Python work is one fill, which is why small replicates keep this way.
+- Streamed draws. A batch over the budget (a replicate over it alone, or
+  a floor batch) never holds its draws: each replicate's factors are
+  drawn one at a time and multiplied into its row of the batch's product
+  array through one spare product, and a complex factor's draws are made
+  in whichever product-sized buffer is free. Such a batch holds b + 2
+  n x n arrays, three at b = 1 for any m; at m = 1 the rows alone, plus
+  the spare for complex entries. The buffers belong to one worker for one
+  :func:`collect_spectra` call: made for its first streamed batch, which
+  is its deepest, and freed when the call returns.
 
 The streams are derived in bulk: once per run, numpy's own
 ``SeedSequence(master_seed, spawn_key=(n, m, field))`` mixes the run's
@@ -124,20 +121,13 @@ MAX_WORKERS = 256
 #: check applied to every sample.
 SVD_CONSISTENCY_RTOL = 1e-8
 
-#: Most bytes of Gaussian draws and seeding one batch of replicates holds
-#: at once. A replicate whose share alone exceeds it is sampled in a batch of
-#: one. Runs with more than one worker may exceed it, up to about
-#: 4 MB x m x parts of draws per batch, to reach the floor of
-#: ``SVD_GIL_THRESHOLD // n + 1`` replicates (see :func:`_batches`). A batch
-#: whose draws exceed it never holds them: it draws one factor at a time
-#: into at most b + 2 n x n arrays, which its worker makes once per run, on
-#: its first such batch (see :func:`_streamed_products`).
+#: Most bytes of Gaussian draws and seeding a batch holds unless the GIL
+#: floor needs more; a batch over it is streamed (see the module docstring).
 BATCH_DRAW_BYTES = 1 << 20
 
 #: numpy's stacked ``np.linalg.svd`` releases the GIL only for a loop of more
 #: than this many elements, stack size times n: ``NPY_BEGIN_THREADS_THRESHOLDED``
-#: in ``numpy/_core/include/numpy/ndarraytypes.h``. Smaller batches hold the GIL
-#: through their whole decomposition, so worker threads would take turns.
+#: in ``numpy/_core/include/numpy/ndarraytypes.h`` (see the module docstring).
 SVD_GIL_THRESHOLD = 500
 
 #: Peak bytes one replicate adds while its batch's streams are derived (hash
@@ -145,6 +135,7 @@ SVD_GIL_THRESHOLD = 500
 SEED_BYTES = 512
 
 _FIELD_CODES = {"real": 0, "complex": 1}
+_ENTRY_DTYPES = {"real": np.float64, "complex": np.complex128}
 
 # numpy's SeedSequence and PCG64 seeding constants, frozen by its RNG policy (NEP 19).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -318,55 +309,46 @@ def _draw_shape(spec: GinibreSpec) -> tuple[int, int, int, int]:
     return (spec.m, 1 if spec.field == "real" else 2, spec.n, spec.n)
 
 
-def _factor(spec: GinibreSpec, draws: np.ndarray, j: int) -> np.ndarray:
-    """Factor j of every product in ``draws``, shape (b, n, n), with the stated entry law."""
-    n = spec.n
-    if spec.field == "real":
-        return draws[:, j, 0] / np.sqrt(n)
-    return (draws[:, j, 0] + 1j * draws[:, j, 1]) / np.sqrt(2 * n)
-
-
 def _draw_bytes(spec: GinibreSpec) -> int:
     """Bytes of one replicate's standard normals."""
     return math.prod(_draw_shape(spec)) * np.dtype(np.float64).itemsize
 
 
+def _entries(spec: GinibreSpec, draws: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write factor entries with the stated law into ``out``, shape (..., n, n), and return it.
+
+    They come from standard normals ``draws``, shape (..., parts, n, n): the
+    real part over sqrt(n) for real entries, (real + i imaginary) over
+    sqrt(2n) for complex ones.
+    """
+    if spec.field == "real":
+        return np.divide(draws[..., 0, :, :], np.sqrt(spec.n), out=out)
+    out.real, out.imag = draws[..., 0, :, :], draws[..., 1, :, :]
+    out /= np.sqrt(2 * spec.n)
+    return out
+
+
 def _draw_factor(
     spec: GinibreSpec, rng: np.random.Generator, out: np.ndarray, scratch: np.ndarray | None
 ) -> None:
-    """Draw the stream's next factor into ``out``, with the entry law of :func:`_factor` and its bits.
-
-    A complex factor's draws are made in ``scratch``, a free array of out's
-    shape and dtype, whose memory holds its real and imaginary parts.
-    """
-    if spec.field == "real":
-        rng.standard_normal(out=out)
-        out /= np.sqrt(spec.n)
-        return
-    draws = scratch.view(np.float64).reshape(2, spec.n, spec.n)
+    """Draw the stream's next factor into ``out``: a real one in place, a complex
+    one's parts in ``scratch``, a free array of out's shape and dtype."""
+    draws = out[None] if spec.field == "real" else scratch.view(np.float64).reshape(2, spec.n, spec.n)
     rng.standard_normal(out=draws)
-    out.real = draws[0]
-    out.imag = draws[1]
-    out /= np.sqrt(2 * spec.n)
+    _entries(spec, draws, out)
 
 
 def _streamed_products(
     spec: GinibreSpec, rng: np.random.Generator, states: Iterator[dict], buffers: threading.local, b: int
 ) -> np.ndarray:
-    """The products W_1...W_m of b states, shape (b, n, n), drawn and multiplied one factor at a time.
+    """The products of b states, shape (b, n, n), each replicate's factors drawn one at a time.
 
-    They are built in this worker's buffers, made on its first streamed
-    batch and kept in ``buffers`` for the call: a (b, n, n) product array,
-    a spare product when m > 1 or the entries are complex, and a factor
-    when m > 1. The first streamed batch is the worker's deepest: the pool
-    hands out batches in order, and :func:`_batches` makes them all one
-    size but the last, which is shorter. Real factors are drawn in place;
-    a complex factor's draws are made in whichever product-sized buffer is
-    free. Partial products alternate between a replicate's row and the
-    spare so that the last lands in the row.
+    They are built in this worker's buffers, kept in ``buffers`` for the
+    call: a (b, n, n) product array, a spare product when m > 1 or the
+    entries are complex, and a factor when m > 1 (see the module docstring).
     """
     if not hasattr(buffers, "held"):
-        n, dtype = spec.n, np.float64 if spec.field == "real" else np.complex128
+        n, dtype = spec.n, _ENTRY_DTYPES[spec.field]
         spare = np.empty((n, n), dtype) if spec.m > 1 or spec.field == "complex" else None
         factor = np.empty((n, n), dtype) if spec.m > 1 else None
         buffers.held = (np.empty((b, n, n), dtype), spare, factor)
@@ -383,43 +365,39 @@ def _streamed_products(
     return products[:b]
 
 
-def _sample_batch(spec: GinibreSpec, prefix: tuple, batch: range, buffers: threading.local) -> np.ndarray:
-    """Squared singular values, shape (b, n), each row in descending order.
+def _draw_stage(spec: GinibreSpec, prefix: tuple, batch: range, buffers: threading.local) -> np.ndarray:
+    """The products W_1...W_m of a batch, shape (b, n, n), held or streamed by its draw bytes.
 
     Row i is replicate ``batch[i]``, drawn from the stream of
     ``replicate_rng(spec, master_seed, batch[i])`` (``prefix`` is
-    ``_seed_prefix(spec, master_seed)``): one generator per batch is set to
-    each replicate's state in turn. Each stream yields its factors in order,
-    each factor's real part before its imaginary part.
-
-    A batch within ``BATCH_DRAW_BYTES`` of draws fills all its replicates'
-    draws first, then builds the factors one at a time and multiplies them
-    for the whole batch at once; the draws are freed before the
-    decomposition. A batch whose draws would exceed the budget is streamed
-    through this worker's ``buffers`` (see :func:`_streamed_products`):
-    each replicate's factors are drawn one at a time and multiplied into
-    its row of the product array, so a replicate holds three n x n arrays
-    rather than up to m + 3. Both ways give the same bits.
-
-    A failed or non-finite decomposition, or one whose sum of squares
-    misses ||W||_F^2, raises and names the failing replicate.
+    ``_seed_prefix(spec, master_seed)``), factor by factor, each factor's
+    real part before its imaginary part. ``buffers`` are this worker's
+    streaming buffers (see the module docstring).
     """
     streamed = len(batch) * _draw_bytes(spec) > BATCH_DRAW_BYTES
-    # The draws are made before the generator: that order samples within-budget batches faster.
+    # The draws are made before the generator: that order samples held batches faster.
     draws = None if streamed else np.empty((len(batch), *_draw_shape(spec)))
     # Seeded from the run's sequence, so no OS entropy is read; each replicate's state replaces it.
     rng = np.random.Generator(np.random.PCG64(prefix[0]))
     states = _replicate_states(prefix, np.arange(batch.start, batch.stop))
     if streamed:
-        product = _streamed_products(spec, rng, states, buffers, len(batch))
-    else:
-        for i, state in enumerate(states):
-            rng.bit_generator.state = state
-            rng.standard_normal(out=draws[i])
-        product = _factor(spec, draws, 0)
-        for j in range(1, spec.m):
-            product = product @ _factor(spec, draws, j)
-        del draws
+        return _streamed_products(spec, rng, states, buffers, len(batch))
+    for i, state in enumerate(states):
+        rng.bit_generator.state = state
+        rng.standard_normal(out=draws[i])
+    product = _entries(spec, draws[:, 0], np.empty((len(batch), spec.n, spec.n), _ENTRY_DTYPES[spec.field]))
+    factor = np.empty_like(product) if spec.m > 1 else None
+    for j in range(1, spec.m):
+        product = product @ _entries(spec, draws[:, j], factor)
+    return product
+
+
+def _reduce_stage(spec: GinibreSpec, batch: range, product: np.ndarray) -> np.ndarray:
+    """Squared singular values of a batch's products, shape (b, n), each row in descending order.
+
+    A failed or non-finite decomposition, or one whose sum of squares
+    misses ||W||_F^2, raises ArithmeticError naming the failing replicate.
+    """
     try:
         singular = np.linalg.svd(product, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -445,23 +423,7 @@ def _sample_batch(spec: GinibreSpec, prefix: tuple, batch: range, buffers: threa
 
 
 def _batches(spec: GinibreSpec, config: RunConfig) -> list[range]:
-    """Consecutive replicate ranges, each within BATCH_DRAW_BYTES of draws and seeding
-    unless the floor below needs more.
-
-    A batch also holds at most ceil(replicates / workers) replicates, so
-    every worker gets a share. With more than one worker it holds at least
-    SVD_GIL_THRESHOLD // n + 1 replicates, capped at that share: numpy's
-    stacked SVD releases the GIL only when stack size x n exceeds
-    SVD_GIL_THRESHOLD (``NPY_BEGIN_THREADS_THRESHOLDED``, in numpy's
-    ``ndarraytypes.h``), so smaller batches would serialise the workers'
-    decompositions. The floor may exceed the byte budget, up to about
-    4 MB x m x parts of draws at n = 500; such a batch, like a replicate
-    over the budget alone, is streamed one factor at a time and holds at
-    most b + 2 n x n arrays, not its draws (see :func:`_sample_batch`).
-    One-worker runs keep the byte-bounded batches. A run of fewer than
-    twice the floor's replicates gets batches below the floor, whose
-    decompositions still hold the GIL.
-    """
+    """Consecutive replicate ranges under the budget, share and GIL-floor rules of the module docstring."""
     size = BATCH_DRAW_BYTES // (_draw_bytes(spec) + SEED_BYTES)
     if config.workers > 1:
         size = max(size, SVD_GIL_THRESHOLD // spec.n + 1)
@@ -551,7 +513,8 @@ def collect_spectra(spec: GinibreSpec, config: RunConfig) -> np.ndarray:
     def run(batch: range) -> None:
         try:
             if not failed.is_set():
-                spectra[batch.start : batch.stop] = _sample_batch(spec, prefix, batch, buffers)
+                products = _draw_stage(spec, prefix, batch, buffers)
+                spectra[batch.start : batch.stop] = _reduce_stage(spec, batch, products)
         except BaseException:
             failed.set()
             raise

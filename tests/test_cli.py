@@ -211,6 +211,15 @@ class TestTailboundCommand:
         assert (code, out) == (2, "")
         assert re.fullmatch(f"ginprod: error: .*{message}", err)
 
+    @pytest.mark.parametrize("z, message", [
+        ("1e400", r"z / u_1 is beyond the float range\n"),
+        ("4.00000000000000000001", r"z / u_1 rounds to 1 as a float, so no finite w is admissible\n"),
+    ])
+    def test_extreme_z_is_usage_error(self, capsys, z, message):
+        code, out, err = run_cli(capsys, "tailbound", "--m", "1", "--z", z, "--n-grid", "100")
+        assert (code, out) == (2, "")
+        assert re.fullmatch(f"ginprod: error: {message}", err)
+
     def test_fractional_z_accepted(self, capsys):
         code, out, _ = run_cli(
             capsys, "tailbound", "--m", "2", "--z", "81/8", "--n-grid", "60"
@@ -245,14 +254,7 @@ class TestSimulateCommand:
         _, out8, _ = run_cli(capsys, *base, "--workers", "8")
         doc1, doc8 = json.loads(out1), json.loads(out8)
         assert doc1["edge"] == doc8["edge"]
-
-    def test_edge_only_suppresses_moments(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "simulate", "--m", "1", "--n", "6", "--replicates", "5",
-            "--seed", "3", "--kmax", "2", "--edge-only",
-        )
-        assert code == 0
-        assert "moments" not in json.loads(out)
+        assert "moments" not in doc1  # without --kmax the summary is the edge alone
 
     def test_replicate_csv_and_spectra(self, capsys, tmp_path):
         rep_csv = tmp_path / "reps.csv"
@@ -500,6 +502,47 @@ class TestOutputPath:
         code, _, err = run_cli(capsys, *base, "--spectrum-dir", str(blocker / "spectra"))
         assert code == 2
         assert str(blocker / "spectra") in err
+
+    def test_colliding_destinations_are_refused_before_sampling(self, capsys, monkeypatch, tmp_path):
+        # One file written twice would keep only the last document written to it.
+        def never(*args, **kwargs):
+            raise AssertionError("sampled before the destinations were checked")
+
+        monkeypatch.setattr(ginprod.montecarlo, "collect_spectra", never)
+        base = ("simulate", "--m", "1", "--n", "4", "--replicates", "3", "--seed", "1")
+        spec_dir = tmp_path / "spectra"
+        spec_dir.mkdir()
+        summary, spectrum = tmp_path / "x", spec_dir / "spectrum_000002.csv"
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old content\n")
+        link.symlink_to(target)
+        for extra, message in (
+            (("--output", str(summary), "--replicate-csv", f"{tmp_path}/./x"),
+             f"cannot write {tmp_path}/./x for --replicate-csv: the run writes that file for --output too"),
+            (("--output", str(spectrum), "--spectrum-dir", str(spec_dir)),
+             f"cannot write {spectrum} for --output: the run writes that file for --spectrum-dir too"),
+            (("--output", str(link), "--replicate-csv", str(target)),
+             f"cannot write {target} for --replicate-csv: the run writes that file for --output too"),
+        ):
+            code, out, err = run_cli(capsys, *base, *extra)
+            assert (code, out, err) == (2, "", f"ginprod: error: {message}\n")
+        assert sorted(tmp_path.iterdir()) == [link, spec_dir, target] and list(spec_dir.iterdir()) == []
+        assert target.read_text() == "old content\n"
+
+    def test_distinct_or_in_place_destinations_are_written(self, capsys, tmp_path):
+        # A spectrum name past the run's replicates is no spectrum of it, and a
+        # device is written in place, so naming it twice replaces nothing.
+        spec_dir = tmp_path / "spectra"
+        spec_dir.mkdir()
+        code, _, _ = run_cli(
+            capsys, "simulate", "--m", "1", "--n", "4", "--replicates", "3", "--seed", "1",
+            "--output", str(spec_dir / "spectrum_000003.csv"), "--spectrum-dir", str(spec_dir),
+        )
+        assert code == 0
+        assert sorted(p.name for p in spec_dir.iterdir()) == [f"spectrum_{r:06d}.csv" for r in range(4)]
+        code, _, _ = run_cli(capsys, "simulate", "--m", "1", "--n", "4", "--replicates", "3", "--seed", "1",
+                             "--output", os.devnull, "--replicate-csv", os.devnull)
+        assert code == 0
 
     def test_spectrum_dir_holds_only_the_spectra(self, capsys, tmp_path):
         spec_dir = tmp_path / "spectra"
