@@ -230,6 +230,14 @@ def _parse_grid(text: str) -> list[int]:
     return grid
 
 
+def _fraction(text: str) -> Fraction:
+    """A rational option value; a zero denominator is refused by the parser, like any non-fraction."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 def _cmd_edge(args: argparse.Namespace) -> _Result:
     return 0, [(args.output, f"{edge_analysis.edge_constant(args.m).u}\n")]
 
@@ -300,11 +308,31 @@ def _run_config(args: argparse.Namespace) -> montecarlo.RunConfig:
     return montecarlo.RunConfig(replicates=args.replicates, master_seed=args.seed, workers=workers)
 
 
+def _available_bytes() -> int:
+    """Memory this process can have, for refusing a run that cannot fit before it starts:
+    the physical memory, lowered to its cgroup v2 ``memory.max`` where that file holds a
+    number. The files are only read."""
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    try:
+        with open("/proc/self/cgroup") as fh:
+            groups = [line[3:].strip() for line in fh if line.startswith("0::")]
+        with open(f"/sys/fs/cgroup{groups[0].rstrip('/')}/memory.max") as fh:
+            limit = fh.read().strip()
+    except (OSError, IndexError):  # no cgroup v2 hierarchy, or no limit file in it
+        return physical
+    return min(physical, int(limit)) if limit.isdigit() else physical
+
+
 def _cmd_simulate(args: argparse.Namespace) -> _Result:
     spec = montecarlo.GinibreSpec(n=args.n, m=args.m, field=args.field)
     config = _run_config(args)
-    if args.kmax is not None:
-        _natural("k_max", args.kmax, 1)  # refuse a bad order before sampling
+    if args.kmax is not None:  # refuse a bad order before sampling
+        _natural("k_max", args.kmax, 1)
+        table, available = config.replicates * args.kmax * 8, _available_bytes()
+        if table > available:
+            raise ValueError(f"k_max {args.kmax} needs a {config.replicates} x {args.kmax} moment table of "
+                             f"{table / 2**30:.1f} GiB, more than the {available / 2**30:.1f} GiB "
+                             "this process can have")
     spectra = montecarlo.collect_spectra(spec, config)
     edge = montecarlo.edge_from_values(spectra[:, 0])
     u = edge_analysis.edge_constant(args.m).u
@@ -433,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands["moments"].add_argument("--all-formulas", action="store_true",
                                      help="evaluate all three formulations and cross-check them")
     p = commands["tailbound"]
-    p.add_argument("--z", type=Fraction, required=True,
+    p.add_argument("--z", type=_fraction, required=True,
                    help="threshold above the edge constant, e.g. 6 or 27/4 or 10.125")
     p.add_argument("--w", type=float, default=None,
                    help="schedule slope; default is just above the admissible threshold")

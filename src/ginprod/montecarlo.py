@@ -38,13 +38,14 @@ replicate's from its own stream; the reduce stage (:func:`_reduce_stage`)
 decomposes them with one stacked SVD and checks them. Every operation
 acts on each replicate's slice exactly as it would on that replicate
 alone, so neither the batch size, the way a batch is drawn nor the worker
-count changes a bit. The batching and memory rules, stated here once:
+count changes a bit. The batching, scheduling and memory rules, stated
+here once:
 
 - Budget. A batch holds at most ``BATCH_DRAW_BYTES`` of Gaussian draws
   and seeding (``SEED_BYTES`` a replicate), and at most
   ceil(replicates / workers) replicates, so every worker gets a share. A
-  replicate over the budget alone is a batch of one. Batches are handed
-  out in order and all have one size but the last, which is shorter.
+  replicate over the budget alone is a batch of one. Batches all have one
+  size but the last, which is shorter.
 - GIL floor. With more than one worker a batch holds at least
   ``SVD_GIL_THRESHOLD // n + 1`` replicates, capped at the share:
   numpy's stacked SVD releases the GIL only when stack size x n exceeds
@@ -53,19 +54,26 @@ count changes a bit. The batching and memory rules, stated here once:
   to about 4 MB x m x parts of draws at n = 500 (parts is 2 for complex
   entries). One-worker runs keep the budget, and a run of fewer than
   twice the floor's replicates gets batches below it.
-- Held draws. A batch within the budget draws all its replicates first,
-  then builds each factor for the whole batch and multiplies: at most
-  m + 3 n x n arrays a replicate, m + 1 at m = 1. Its per-replicate
-  Python work is one fill, which is why small replicates keep this way.
-- Streamed draws. A batch over the budget (a replicate over it alone, or
-  a floor batch) never holds its draws: each replicate's factors are
-  drawn one at a time and multiplied into its row of the batch's product
-  array through one spare product, and a complex factor's draws are made
-  in whichever product-sized buffer is free. Such a batch holds b + 2
-  n x n arrays, three at b = 1 for any m; at m = 1 the rows alone, plus
-  the spare for complex entries. The buffers belong to one worker for one
-  :func:`collect_spectra` call: made for its first streamed batch, which
-  is its deepest, and freed when the call returns.
+- Workers. A run has W = min(workers, batches) workers, and worker w
+  takes batches w, w + W, ... in one loop. The calling thread is worker
+  0, so a one-worker run starts no thread. A worker that raises stops the
+  others before their next batch.
+- Held or streamed. A run streams when a full batch's draws exceed the
+  budget (a replicate over it alone, or a floor batch); this is decided
+  once, where the batches are made, and a short last batch follows it.
+- Held draws. A held batch draws all its replicates first, then builds
+  each factor for the whole batch and multiplies: at most m + 3 n x n
+  arrays a replicate, m + 1 at m = 1, allocated per batch. Its
+  per-replicate Python work is one fill, which is why small replicates
+  keep this way.
+- Streamed draws. A streamed batch never holds its draws: each
+  replicate's factors are drawn one at a time and multiplied into its row
+  of the batch's product array through one spare product, and a complex
+  factor's draws are made in whichever product-sized buffer is free. Such
+  a batch holds b + 2 n x n arrays, three at b = 1 for any m; at m = 1
+  the rows alone, plus the spare for complex entries. Each worker makes
+  these buffers once, before its loop, for its first batch, which is its
+  largest, and drops them when its loop ends.
 
 The streams are derived in bulk: once per run, numpy's own
 ``SeedSequence(master_seed, spawn_key=(n, m, field))`` mixes the run's
@@ -85,7 +93,6 @@ import importlib
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -112,8 +119,8 @@ __all__ = [
 
 WORKERS_ENV_VAR = "GINPROD_WORKERS"
 
-#: Most worker threads a run may ask for. The pool starts a thread per
-#: batch up to its worker count, and :func:`_batches` makes about one batch
+#: Most workers a run may ask for. :func:`collect_spectra` starts a thread
+#: for each worker but the first, and :func:`_batches` makes about one batch
 #: per worker, so an unbounded count would ask the OS for that many threads.
 MAX_WORKERS = 256
 
@@ -338,21 +345,21 @@ def _draw_factor(
     _entries(spec, draws, out)
 
 
-def _streamed_products(
-    spec: GinibreSpec, rng: np.random.Generator, states: Iterator[dict], buffers: threading.local, b: int
-) -> np.ndarray:
-    """The products of b states, shape (b, n, n), each replicate's factors drawn one at a time.
+def _stream_buffers(spec: GinibreSpec, b: int) -> tuple:
+    """One worker's buffers for streamed batches of up to b replicates: a (b, n, n)
+    product array, a spare product when m > 1 or the entries are complex, and a
+    factor when m > 1 (see the module docstring)."""
+    n, dtype = spec.n, _ENTRY_DTYPES[spec.field]
+    spare = np.empty((n, n), dtype) if spec.m > 1 or spec.field == "complex" else None
+    return np.empty((b, n, n), dtype), spare, np.empty((n, n), dtype) if spec.m > 1 else None
 
-    They are built in this worker's buffers, kept in ``buffers`` for the
-    call: a (b, n, n) product array, a spare product when m > 1 or the
-    entries are complex, and a factor when m > 1 (see the module docstring).
-    """
-    if not hasattr(buffers, "held"):
-        n, dtype = spec.n, _ENTRY_DTYPES[spec.field]
-        spare = np.empty((n, n), dtype) if spec.m > 1 or spec.field == "complex" else None
-        factor = np.empty((n, n), dtype) if spec.m > 1 else None
-        buffers.held = (np.empty((b, n, n), dtype), spare, factor)
-    products, spare, factor = buffers.held
+
+def _streamed_products(
+    spec: GinibreSpec, rng: np.random.Generator, states: Iterator[dict], buffers: tuple, b: int
+) -> np.ndarray:
+    """The products of b states, shape (b, n, n), each replicate's factors drawn one at a
+    time into this worker's ``buffers`` (:func:`_stream_buffers`)."""
+    products, spare, factor = buffers
     for i, state in enumerate(states):
         rng.bit_generator.state = state
         # partial[j] holds W_1...W_{j+1}; partial[1] is free while W_1 is
@@ -365,22 +372,21 @@ def _streamed_products(
     return products[:b]
 
 
-def _draw_stage(spec: GinibreSpec, prefix: tuple, batch: range, buffers: threading.local) -> np.ndarray:
-    """The products W_1...W_m of a batch, shape (b, n, n), held or streamed by its draw bytes.
+def _draw_stage(spec: GinibreSpec, prefix: tuple, batch: range, buffers: tuple | None) -> np.ndarray:
+    """The products W_1...W_m of a batch, shape (b, n, n), streamed into this worker's
+    ``buffers``, or held when they are None (see the module docstring).
 
     Row i is replicate ``batch[i]``, drawn from the stream of
     ``replicate_rng(spec, master_seed, batch[i])`` (``prefix`` is
     ``_seed_prefix(spec, master_seed)``), factor by factor, each factor's
-    real part before its imaginary part. ``buffers`` are this worker's
-    streaming buffers (see the module docstring).
+    real part before its imaginary part.
     """
-    streamed = len(batch) * _draw_bytes(spec) > BATCH_DRAW_BYTES
     # The draws are made before the generator: that order samples held batches faster.
-    draws = None if streamed else np.empty((len(batch), *_draw_shape(spec)))
+    draws = None if buffers is not None else np.empty((len(batch), *_draw_shape(spec)))
     # Seeded from the run's sequence, so no OS entropy is read; each replicate's state replaces it.
     rng = np.random.Generator(np.random.PCG64(prefix[0]))
     states = _replicate_states(prefix, np.arange(batch.start, batch.stop))
-    if streamed:
+    if buffers is not None:
         return _streamed_products(spec, rng, states, buffers, len(batch))
     for i, state in enumerate(states):
         rng.bit_generator.state = state
@@ -422,17 +428,16 @@ def _reduce_stage(spec: GinibreSpec, batch: range, product: np.ndarray) -> np.nd
     return squared
 
 
-def _batches(spec: GinibreSpec, config: RunConfig) -> list[range]:
-    """Consecutive replicate ranges under the budget, share and GIL-floor rules of the module docstring."""
+def _batches(spec: GinibreSpec, config: RunConfig) -> tuple[list[range], bool]:
+    """Consecutive replicate ranges under the budget, share and GIL-floor rules of the
+    module docstring, and whether the run streams them."""
     size = BATCH_DRAW_BYTES // (_draw_bytes(spec) + SEED_BYTES)
     if config.workers > 1:
         size = max(size, SVD_GIL_THRESHOLD // spec.n + 1)
     per_worker = -(-config.replicates // config.workers)
     size = max(1, min(size, per_worker))
-    return [
-        range(start, min(start + size, config.replicates))
-        for start in range(0, config.replicates, size)
-    ]
+    batches = [range(start, min(start + size, config.replicates)) for start in range(0, config.replicates, size)]
+    return batches, size * _draw_bytes(spec) > BATCH_DRAW_BYTES
 
 
 @functools.cache
@@ -501,27 +506,39 @@ def collect_spectra(spec: GinibreSpec, config: RunConfig) -> np.ndarray:
     Row r holds replicate r's spectrum in descending order, drawn from
     ``replicate_rng(spec, config.master_seed, r)``; column 0 holds the
     largest values s_1^2. Linear-algebra failures and non-finite spectra
-    raise ArithmeticError rather than propagating NaN. Worker threads
-    take whole batches; each writes only its own rows. BLAS runs at one
-    thread meanwhile (see :func:`blas_pinned`).
+    raise ArithmeticError rather than propagating NaN. Each worker takes
+    its own batches and writes only their rows; the calling thread is the
+    first worker (see the module docstring). BLAS runs at one thread
+    meanwhile (see :func:`blas_pinned`).
     """
     spectra = np.empty((config.replicates, spec.n))
     prefix = _seed_prefix(spec, config.master_seed)
-    failed = threading.Event()  # set by a batch that raised, so the batches after it are skipped
-    buffers = threading.local()  # each worker's streaming buffers, freed when this call returns
+    batches, streamed = _batches(spec, config)
+    workers = min(config.workers, len(batches))
+    # A worker that raises sets failed, so the others stop before their next batch, and keeps its error.
+    failed, errors = threading.Event(), []
 
-    def run(batch: range) -> None:
+    def work(w: int) -> None:
         try:
-            if not failed.is_set():
+            buffers = _stream_buffers(spec, len(batches[w])) if streamed else None
+            for batch in batches[w::workers]:
+                if failed.is_set():
+                    return
                 products = _draw_stage(spec, prefix, batch, buffers)
                 spectra[batch.start : batch.stop] = _reduce_stage(spec, batch, products)
-        except BaseException:
+        except BaseException as exc:
             failed.set()
-            raise
+            errors.append(exc)
 
-    batches = _batches(spec, config)
-    with _one_blas_thread(), ThreadPoolExecutor(max_workers=config.workers) as pool:
-        list(pool.map(run, batches))  # list() re-raises a worker's exception
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    with _one_blas_thread():
+        for thread in threads:
+            thread.start()
+        work(0)
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return spectra
 
 

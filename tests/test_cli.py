@@ -13,6 +13,7 @@ import shlex
 import stat
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +29,10 @@ from ginprod.cli import main
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # the parser's own refusals
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -214,11 +218,15 @@ class TestTailboundCommand:
     @pytest.mark.parametrize("z, message", [
         ("1e400", r"z / u_1 is beyond the float range\n"),
         ("4.00000000000000000001", r"z / u_1 rounds to 1 as a float, so no finite w is admissible\n"),
+        ("1/0", r"argument --z: invalid Fraction value: '1/0'\n"),
     ])
     def test_extreme_z_is_usage_error(self, capsys, z, message):
+        # The bound refuses a z past the float's range or precision. The parser
+        # refuses a zero denominator, after its usage lines, as any non-fraction.
         code, out, err = run_cli(capsys, "tailbound", "--m", "1", "--z", z, "--n-grid", "100")
         assert (code, out) == (2, "")
-        assert re.fullmatch(f"ginprod: error: {message}", err)
+        prefix = "usage: ginprod tailbound .*\nginprod tailbound" if z == "1/0" else "ginprod"
+        assert re.fullmatch(f"{prefix}: error: {message}", err, re.DOTALL)
 
     def test_fractional_z_accepted(self, capsys):
         code, out, _ = run_cli(
@@ -245,16 +253,82 @@ class TestSimulateCommand:
         assert doc["edge"]["q05"] <= doc["edge"]["q50"] <= doc["edge"]["q95"]
         assert [entry["k"] for entry in doc["moments"]] == [1, 2]
 
-    def test_worker_flag_does_not_change_output(self, capsys):
-        base = (
-            "simulate", "--m", "2", "--n", "6", "--field", "real",
-            "--replicates", "24", "--seed", "11",
-        )
-        _, out1, _ = run_cli(capsys, *base, "--workers", "1")
-        _, out8, _ = run_cli(capsys, *base, "--workers", "8")
-        doc1, doc8 = json.loads(out1), json.loads(out8)
-        assert doc1["edge"] == doc8["edge"]
-        assert "moments" not in doc1  # without --kmax the summary is the edge alone
+    def test_worker_flag_does_not_change_output(self, capsys, monkeypatch, tmp_path):
+        # stdout and every written file are the same bytes at 1, 2 and 8 workers,
+        # but for the invocation, which names --workers and the run's directory.
+        # 23 replicates leave a short last batch at every worker count. The
+        # simulate runs hold their draws, then stream them (a budget below one
+        # replicate's), and converge holds them.
+        def written(*argv, files=()):
+            outputs = {}
+            for workers in ("1", "2", "8"):
+                run_dir = tmp_path / f"{len(os.listdir(tmp_path))}"
+                run_dir.mkdir()
+                paths = [str(run_dir / name) for name in files]
+                args = [arg.format(*paths) for arg in argv]
+                code, out, _ = run_cli(capsys, *args, "--workers", workers)
+                assert code == 0
+                texts = [out, *(path.read_text() for path in sorted(run_dir.rglob("*.csv")))]
+                outputs[workers] = [re.sub(r'^(# invocation: |    "invocation": ).*\n', "", text, flags=re.M)
+                                    for text in texts]
+            assert outputs["1"] == outputs["2"] == outputs["8"]
+            return outputs["1"]
+
+        sim = ("simulate", "--m", "2", "--n", "6", "--replicates", "23", "--seed", "11",
+               "--replicate-csv", "{0}", "--spectrum-dir", "{1}")
+        held = written(*sim, files=("reps.csv", "spectra"))
+        assert len(held) == 1 + 1 + 23
+        assert "moments" not in json.loads(held[0])  # without --kmax the summary is the edge alone
+        spec = ginprod.montecarlo.GinibreSpec(n=6, m=2, field="complex")
+        monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", ginprod.montecarlo._draw_bytes(spec) - 1)
+        assert ginprod.montecarlo._batches(spec, ginprod.montecarlo.RunConfig(23, 11, 1))[1]  # streams
+        streamed = written(*sim, "--field", "complex", "--kmax", "3", files=("reps.csv", "spectra"))
+        assert len(streamed) == 1 + 1 + 23 and len(json.loads(streamed[0])["moments"]) == 3
+        monkeypatch.undo()
+        written("converge", "--m", "2", "--n-grid", "4,8", "--field", "complex", "--replicates", "23", "--seed", "3")
+
+    @pytest.mark.parametrize("cgroup, limit, lowered", [
+        ("0::/\n", "1048576\n", True),
+        ("4:memory:/v1\n0::/jobs/a/\n", "1048576\n", True),
+        ("0::/\n", "max\n", False),
+        ("4:memory:/v1\n", "1048576\n", False),  # no cgroup v2 hierarchy
+        ("0::/\n", None, False),  # no limit file
+    ])
+    def test_available_bytes_reads_the_cgroup_limit(self, monkeypatch, cgroup, limit, lowered):
+        # Physical memory, lowered to the process's cgroup v2 memory.max where that
+        # holds a number; the files are opened for reading only.
+        files = {"/proc/self/cgroup": cgroup}
+        group = cgroup.rpartition("0::")[2].strip().rstrip("/")
+        if limit is not None:
+            files[f"/sys/fs/cgroup{group}/memory.max"] = limit
+
+        def read_only(path, *args, **kwargs):
+            assert not args and not kwargs, "opened for more than reading"
+            if path not in files:
+                raise FileNotFoundError(path)
+            return io.StringIO(files[path])
+
+        monkeypatch.setattr(ginprod.cli, "open", read_only, raising=False)
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        assert ginprod.cli._available_bytes() == (min(physical, 1048576) if lowered else physical)
+
+    def test_moment_table_past_memory_is_refused_before_sampling(self, capsys, monkeypatch):
+        # The (replicates, k_max) float64 table of the moments must fit the memory the
+        # process can have; nothing is drawn before the check.
+        def never(*args, **kwargs):
+            raise AssertionError("sampled before the moment table was checked")
+
+        monkeypatch.setattr(ginprod.montecarlo, "collect_spectra", never)
+        base = ("simulate", "--m", "1", "--n", "2", "--replicates", "2", "--seed", "1", "--kmax")
+        code, out, err = run_cli(capsys, *base, "1000000000000")
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"ginprod: error: k_max 1000000000000 needs a 2 x 1000000000000 moment table of "
+                            r"14901\.2 GiB, more than the [0-9.]+ GiB this process can have\n", err)
+        monkeypatch.setattr(ginprod.cli, "_available_bytes", lambda: 2 * 64 * 8)
+        code, out, err = run_cli(capsys, *base, "65")
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        code, _, err = run_cli(capsys, *base, "64")  # a table that fits passes the check, to sampling
+        assert (code, err) == (4, "ginprod: internal error: AssertionError: sampled before the moment table was checked\n")
 
     def test_replicate_csv_and_spectra(self, capsys, tmp_path):
         rep_csv = tmp_path / "reps.csv"
@@ -326,13 +400,13 @@ class TestSimulateCommand:
         ((), "100000", "GINPROD_WORKERS must be in [1, 256], got 100000"),
     ])
     def test_bad_run_options_are_refused_before_sampling(self, capsys, monkeypatch, extra, env, message):
-        # Neither sampling nor its thread pool may start: a worker count past
+        # Neither sampling nor a worker thread may start: a worker count past
         # the cap would ask the OS for that many threads.
         def never(*args, **kwargs):
             raise AssertionError("sampled before the run options were checked")
 
         monkeypatch.setattr(ginprod.montecarlo, "collect_spectra", never)
-        monkeypatch.setattr(ginprod.montecarlo, "ThreadPoolExecutor", never)
+        monkeypatch.setattr(threading.Thread, "start", never)
         if env is not None:
             monkeypatch.setenv(ginprod.montecarlo.WORKERS_ENV_VAR, env)
         code, out, err = run_cli(

@@ -199,7 +199,7 @@ def _traced_peak(spec):
 
 def _batch_sizes(spec, replicates, workers):
     """The replicate count of each batch a run samples, in order."""
-    batches = _batches(spec, RunConfig(replicates=replicates, master_seed=SEED, workers=workers))
+    batches, _ = _batches(spec, RunConfig(replicates=replicates, master_seed=SEED, workers=workers))
     assert [b.start for b in batches] == [0, *(b.stop for b in batches[:-1])]
     assert batches[-1].stop == replicates
     return [len(b) for b in batches]
@@ -321,6 +321,68 @@ class TestBatchKernel:
             with pytest.raises(ArithmeticError, match=f"{message}.*replicate 5"):
                 collect_spectra(spec, RunConfig(replicates=replicates, master_seed=SEED, workers=workers))
             assert ran(shapes), shapes
+
+
+def _record_stages(monkeypatch):
+    """Patch both stages to record (stage, thread, batch length, buffers) per call; return the records."""
+    calls = []
+    draw, reduce = ginprod.montecarlo._draw_stage, ginprod.montecarlo._reduce_stage
+
+    def draw_stage(spec, prefix, batch, buffers):
+        calls.append(("draw", threading.current_thread(), len(batch), buffers))
+        return draw(spec, prefix, batch, buffers)
+
+    def reduce_stage(spec, batch, products):
+        calls.append(("reduce", threading.current_thread(), len(batch), None))
+        return reduce(spec, batch, products)
+
+    monkeypatch.setattr(ginprod.montecarlo, "_draw_stage", draw_stage)
+    monkeypatch.setattr(ginprod.montecarlo, "_reduce_stage", reduce_stage)
+    return calls
+
+
+class TestScheduling:
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_one_worker_samples_on_the_calling_thread(self, monkeypatch, streamed):
+        # Three batches of one replicate, held or streamed: both stages of each
+        # run on the caller, and no thread is started.
+        spec = GinibreSpec(n=4, m=2, field="complex")
+        budget = _streaming_budget(spec) if streamed else _replicate_bytes(spec)
+        monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", budget)
+        calls = _record_stages(monkeypatch)
+
+        def start(thread):
+            raise AssertionError("a one-worker run started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        spectra = _spectra(spec, 3, 1)
+        caller = threading.current_thread()
+        assert [call[:3] for call in calls] == [("draw", caller, 1), ("reduce", caller, 1)] * 3
+        assert np.array_equal(spectra, np.vstack([_reference_spectrum(spec, r) for r in range(3)]))
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_a_run_draws_all_its_batches_one_way(self, monkeypatch, workers):
+        # A complex m = 2, n = 200 replicate is over the budget, so the run
+        # streams: 25 batches of one at one worker, else eight floor batches of
+        # three and a last one of one, which streams too. Each worker makes its
+        # buffers once, for its first batch; at eight workers worker 0 also
+        # takes the last. Five replicates at n = 5 fit the budget: all are held.
+        spec = GinibreSpec(n=200, m=2, field="complex")
+        want = _spectra(spec, 25)
+        calls = _record_stages(monkeypatch)
+        assert np.array_equal(_spectra(spec, 25, workers), want)
+        draws = [call for call in calls if call[0] == "draw"]
+        assert sorted(size for _, _, size, _ in draws) == ([1] * 25 if workers == 1 else [1] + [3] * 8)
+        by_thread = {}
+        for _, thread, _, buffers in draws:
+            by_thread.setdefault(thread, []).append(buffers)
+        assert len(by_thread) == min(workers, len(draws)) and threading.current_thread() in by_thread
+        for made in by_thread.values():
+            assert all(buffers is made[0] for buffers in made)
+            assert made[0][0].shape == ((1 if workers == 1 else 3), 200, 200)
+        calls.clear()
+        _spectra(GinibreSpec(n=5, m=1, field="complex"), 5, workers)
+        assert [call[3] for call in calls if call[0] == "draw"] and all(call[3] is None for call in calls)
 
 
 class TestSeeding:
