@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from .combinatorics import _k_within_n
+from .combinatorics import _k_within_n, _natural
 
 __all__ = [
     "BetaVector",
@@ -153,7 +153,10 @@ def beta_bounds_check(bv: BetaVector) -> BetaBoundsReport:
 
 
 def beta_ratio(bv: BetaVector, r: int) -> Fraction:
-    """Exact ratio beta_{r+1} / beta_r = n q_{r+1} / q_r for 0 <= r < k(m+1)."""
-    if not 0 <= r < bv.degree:
+    """Exact ratio beta_{r+1} / beta_r = n q_{r+1} / q_r for 0 <= r < k(m+1).
+
+    Raises TypeError unless r is an int, and IndexError outside that range.
+    """
+    if not 0 <= _natural("r", r, None) < bv.degree:
         raise IndexError(f"r must be in [0, {bv.degree - 1}], got {r}")
     return Fraction(bv.n * bv.cleared[r + 1], bv.cleared[r])

@@ -54,7 +54,7 @@ import re
 import shlex
 import stat
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO
@@ -308,19 +308,24 @@ def _run_config(args: argparse.Namespace) -> montecarlo.RunConfig:
     return montecarlo.RunConfig(replicates=args.replicates, master_seed=args.seed, workers=workers)
 
 
+#: The file that holds a group's memory limit, by the controller list of its line in
+#: /proc/self/cgroup: the cgroup v2 hierarchy lists none, a v1 memory group ``memory``.
+_MEMORY_LIMIT_FILES = {"": "/sys/fs/cgroup{}/memory.max", "memory": "/sys/fs/cgroup/memory{}/memory.limit_in_bytes"}
+
+
 def _available_bytes() -> int:
     """Memory this process can have, for refusing a run that cannot fit before it starts:
-    the physical memory, lowered to its cgroup v2 ``memory.max`` where that file holds a
-    number. The files are only read."""
+    the physical memory, lowered to the least limit of its cgroups, v2 ``memory.max`` or v1
+    ``memory.limit_in_bytes``, where such a file holds a number. The files are only read."""
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    try:
-        with open("/proc/self/cgroup") as fh:
-            groups = [line[3:].strip() for line in fh if line.startswith("0::")]
-        with open(f"/sys/fs/cgroup{groups[0].rstrip('/')}/memory.max") as fh:
-            limit = fh.read().strip()
-    except (OSError, IndexError):  # no cgroup v2 hierarchy, or no limit file in it
-        return physical
-    return min(physical, int(limit)) if limit.isdigit() else physical
+    groups, limits = [], []
+    with suppress(OSError), open("/proc/self/cgroup") as fh:  # no cgroups, no limits
+        groups = [line.strip().split(":", 2) for line in fh]
+    for _, controllers, group in groups:
+        for controller in _MEMORY_LIMIT_FILES.keys() & controllers.split(","):
+            with suppress(OSError), open(_MEMORY_LIMIT_FILES[controller].format(group.rstrip("/"))) as fh:
+                limits.append(fh.read().strip())  # the file may be missing, or read "max"
+    return min([physical, *(int(limit) for limit in limits if limit.isdigit())])
 
 
 def _cmd_simulate(args: argparse.Namespace) -> _Result:

@@ -28,16 +28,17 @@ __all__ = [
 ]
 
 
-def _natural(name: str, value: int, minimum: int = 0) -> int:
+def _natural(name: str, value: int, minimum: int | None = 0) -> int:
     """``value`` if it is an int >= ``minimum``; the package's one integer check.
 
     Raises TypeError for anything but an exact ``int``: bool is an int
     subclass, and a flag passed as a size or order is a caller bug.
-    Raises ValueError below ``minimum``.
+    Raises ValueError below ``minimum``; a ``minimum`` of None checks the
+    type alone, for a caller that states its own range.
     """
     if type(value) is not int:
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
 

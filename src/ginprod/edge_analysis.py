@@ -10,12 +10,17 @@ ingredients of that chain plus the asymptotic surrogates used to argue it:
 
 * :func:`edge_constant`        -- u_m as an exact rational;
 * :func:`schedule`             -- the (z, w, k_n) exponent schedule;
-* :func:`markov_chain_bound`   -- the explicit bound n G / z^k;
+* :func:`markov_chain_bound`   -- the explicit bound n G / z^k, z > 0;
 * :func:`tail_summand`         -- one series term, exact and in log form;
-* :func:`dominance_report`     -- consecutive-term ratios of the
-  Stirling-form moment sum against the bound ((m+1)/2)(r+1)^2 / n;
+* :func:`dominance_report`     -- the terms of the Stirling-form moment sum
+  G = (1/k) sum_r q_r {r brace k-1} / n^(mk+1), read as integer numerators
+  from the summands ``moment_engine`` sums, with each consecutive ratio
+  checked against ((m+1)/2)(r+1)^2 / n on those integers;
 * :func:`beta_leading_asymptotic` -- the leading coefficient beta_{k-1}/k
   against (1/k) C(k(m+1), k-1) and its closed-form Stirling approximation.
+
+Exact values are Fractions, except where a report keeps integers over a
+known denominator and builds its Fractions when they are read.
 """
 
 from __future__ import annotations
@@ -23,10 +28,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
+from . import moment_engine
 from .beta_poly import compute_beta
-from .combinatorics import _k_within_n, _natural, binomial, stirling2_column
-from .moment_engine import MomentQuery, moment_falling_sum
+from .combinatorics import _k_within_n, _natural, binomial
 
 __all__ = [
     "EdgeConstant",
@@ -141,64 +147,60 @@ def schedule(m: int, z, w_override: float | None = None) -> TailSchedule:
 class DominanceReport:
     """Term-by-term behaviour of the Stirling-form moment sum.
 
-    Exact terms t_r = n^(-r) beta_r {r brace k-1} for r = k-1 .. k(m+1),
-    each consecutive ratio t_{r+1}/t_r, and the comparison against
-    ((m+1)/2)(r+1)^2 / n. The ratio flags are meaningful deep in the
-    k^2 << n regime; outside it the report is still exact but the bound
-    may fail, which is why assertion is left to the caller.
+    The terms are t_r = n^(-r) beta_r {r brace k-1} for the orders r in
+    ``r_values``, k-1 .. k(m+1) less those of weight zero. They share the
+    denominator n^(k(m+1)), and the report keeps their integer numerators,
+    the summands of :func:`moment_engine._stirling_summands`. Each flag in
+    ``ratio_ok`` compares a consecutive ratio t_{r+1}/t_r with the bound
+    ((m+1)/2)(r+1)^2 / n, decided on the integers by cross-multiplication:
+    2n t_{r+1} < (m+1)(r+1)^2 t_r. ``terms``, ``ratios`` and ``ratio_bounds``
+    are Fractions built on first read, a second route to the flags.
+
+    The flags are meaningful deep in the k^2 << n regime; outside it the
+    report is still exact but the bound may fail, which is why assertion
+    is left to the caller.
     """
 
     m: int
     n: int
     k: int
     r_values: tuple[int, ...]
-    terms: tuple[Fraction, ...]
-    ratios: tuple[Fraction, ...]
-    ratio_bounds: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
     ratio_ok: tuple[bool, ...]
-    all_ratios_ok: bool
-    first_term_share: Fraction
+
+    @property
+    def all_ratios_ok(self) -> bool:
+        return all(self.ratio_ok)
+
+    @property
+    def first_term_share(self) -> Fraction:
+        return Fraction(self.numerators[0], sum(self.numerators))
 
     @property
     def scaled_moment(self) -> Fraction:
-        """n^(k(m+1))/k times the term sum; equals n^(mk+1) G(m, n, k)."""
-        return sum(self.terms, Fraction(0)) * Fraction(self.n) ** (self.k * (self.m + 1)) / self.k
+        """The numerators' sum over k; equals n^(mk+1) G(m, n, k)."""
+        return Fraction(sum(self.numerators), self.k)
+
+    @cached_property
+    def terms(self) -> tuple[Fraction, ...]:
+        denominator = self.n ** (self.k * (self.m + 1))
+        return tuple(Fraction(num, denominator) for num in self.numerators)
+
+    @cached_property
+    def ratios(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(b, a) for a, b in zip(self.numerators, self.numerators[1:]))
+
+    @cached_property
+    def ratio_bounds(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction((self.m + 1) * (r + 1) ** 2, 2 * self.n) for r in self.r_values[:-1])
 
 
 def dominance_report(m: int, n: int, k: int) -> DominanceReport:
+    """The terms of the Stirling-form sum at (m, n, k <= n), with their ratio flags."""
     _k_within_n("dominance_report", m, n, k)
-    bv = compute_beta(m, n, k)
-    # t_r = q_r {r brace k-1} / n^N over the cleared coefficients q_r, so
-    # every term shares the denominator n^N and is worked on as its
-    # integer numerator. Partition-number weights vanish above r = 0 when
-    # k = 1, so keep only the orders that actually contribute to the sum.
-    # The weights {r brace k-1}, r = k-1 .. N, are one Stirling column.
-    r_values = []
-    nums = []
-    weights = stirling2_column(k - 1, bv.degree - (k - 1))
-    for r, weight in enumerate(weights, start=k - 1):
-        if weight:
-            r_values.append(r)
-            nums.append(bv.cleared[r] * weight)
-    r_values = tuple(r_values)
-    denominator = n**bv.degree
-    ratios = tuple(Fraction(nums[i + 1], nums[i]) for i in range(len(nums) - 1))
-    bounds = tuple(
-        Fraction((m + 1) * (r + 1) ** 2, 2 * n) for r in r_values[:-1]
-    )
-    ok = tuple(ratio < bound for ratio, bound in zip(ratios, bounds))
-    return DominanceReport(
-        m=m,
-        n=n,
-        k=k,
-        r_values=r_values,
-        terms=tuple(Fraction(num, denominator) for num in nums),
-        ratios=ratios,
-        ratio_bounds=bounds,
-        ratio_ok=ok,
-        all_ratios_ok=all(ok),
-        first_term_share=Fraction(nums[0], sum(nums)),
-    )
+    r_values, nums = moment_engine._stirling_summands(m, n, k)
+    ok = tuple(2 * n * b < (m + 1) * (r + 1) ** 2 * a for r, a, b in zip(r_values, nums, nums[1:]))
+    return DominanceReport(m=m, n=n, k=k, r_values=r_values, numerators=nums, ratio_ok=ok)
 
 
 @dataclass(frozen=True)
@@ -239,10 +241,16 @@ def beta_leading_asymptotic(m: int, k: int) -> AsymptoticCheck:
 
 
 def markov_chain_bound(m: int, n: int, z, k: int) -> Fraction:
-    """Explicit probability bound n G(m, n, k) / z^k for P(s_1^2 >= z)."""
+    """Explicit probability bound n G(m, n, k) / z^k for P(s_1^2 >= z).
+
+    Markov's inequality needs z > 0; any other z raises ValueError.
+    """
     _k_within_n("markov_chain_bound", m, n, k)
-    g = moment_falling_sum(MomentQuery(m=m, n=n, k=k)).value
-    return n * g / Fraction(z) ** k
+    z = Fraction(z)
+    if z <= 0:
+        raise ValueError(f"z must be > 0 for Markov's inequality, got {z}")
+    g = moment_engine.moment_falling_sum(moment_engine.MomentQuery(m=m, n=n, k=k)).value
+    return n * g / z**k
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ implemented and cross-checked for exact rational equality:
 * :func:`moment_falling_sum` -- the simplified alternating sum over
   j = 0 .. k-1 in terms of falling factorials (n+j)(n+j-1)...(n+j-k+1);
 * :func:`moment_stirling_beta` -- the Stirling-number form built from the
-  coefficients of P(x) = prod (1 - i/n + x)^(m+1).
+  coefficients of P(x) = prod (1 - i/n + x)^(m+1). Its integer summands
+  come from :func:`_stirling_summands`, which the dominance report in
+  ``edge_analysis`` reads too.
 
 All three agree for 1 <= k <= n. For k > n only the falling-factorial sum
 is offered (it stays valid through the zero-factor convention); the other
@@ -141,22 +143,33 @@ def moment_falling_sum(q: MomentQuery) -> MomentValue:
     return _as_moment_value(Fraction(total, factorial(k)), q)
 
 
+def _stirling_summands(m: int, n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The orders r and integer summands q_r {r brace k-1} of the Stirling-form sum.
+
+    q_r = beta_r n^(k(m+1)-r) are the cleared coefficients of one expansion
+    and the weights {r brace k-1}, r = k-1 .. k(m+1), one Stirling column;
+    the summands add up to k n^(mk+1) G(m, n, k). Orders whose weight is
+    zero (every r > 0 when k = 1) are left out. ``compute_beta`` is called
+    through its module, so the verify suites see a patched expansion. The
+    caller checks the arguments.
+    """
+    cleared = beta_poly.compute_beta(m, n, k).cleared
+    weights = stirling2_column(k - 1, len(cleared) - k)
+    r_values, summands = zip(*((r, cleared[r] * w) for r, w in enumerate(weights, start=k - 1) if w))
+    return r_values, summands
+
+
 def moment_stirling_beta(q: MomentQuery) -> MomentValue:
     """Stirling-number form: (n^(k(m+1))/k) sum_r n^(-r) beta_r {r brace k-1}.
 
     With the integer coefficients q_r = beta_r n^(k(m+1)-r) of the
     denominator-cleared polynomial, the scaled moment collapses to
-    (1/k) sum_r q_r {r brace k-1}; the sum effectively starts at r = k-1
-    because {r brace k-1} = 0 below that. The weights are one Stirling
-    column, {k-1+i brace k-1} for i = 0 .. mk+1. ``compute_beta`` is called
-    through its module, so the verify suites see a patched expansion.
+    (1/k) sum_r q_r {r brace k-1}, the sum of :func:`_stirling_summands`
+    over k; it starts at r = k-1 because {r brace k-1} = 0 below that.
     """
     _k_within_n("moment_stirling_beta", q.m, q.n, q.k)
-    k = q.k
-    cleared = beta_poly.compute_beta(q.m, q.n, k).cleared[k - 1 :]
-    weights = stirling2_column(k - 1, len(cleared) - 1)
-    total = sum(c * w for c, w in zip(cleared, weights))
-    return _as_moment_value(Fraction(total, k), q)
+    _, summands = _stirling_summands(q.m, q.n, q.k)
+    return _as_moment_value(Fraction(sum(summands), q.k), q)
 
 
 @dataclass(frozen=True)

@@ -545,10 +545,13 @@ def collect_spectra(spec: GinibreSpec, config: RunConfig) -> np.ndarray:
 def moments_from_spectra(spectra: np.ndarray, k_max: int) -> EmpiricalMoments:
     """Moments (1/n) sum_i s_i^(2k), k = 1 .. k_max, of a (replicates, n) spectrum array.
 
-    Raises ArithmeticError naming the first order whose mean or standard
-    error is not finite, as when s^(2k) passes the float range.
+    Raises ValueError unless ``spectra`` is 2-D and non-empty, and
+    ArithmeticError naming the first order whose mean or standard error is
+    not finite, as when s^(2k) passes the float range.
     """
     _natural("k_max", k_max, 1)
+    if spectra.ndim != 2 or spectra.size == 0:
+        raise ValueError(f"spectra must be a non-empty 2-D (replicates, n) array, got shape {spectra.shape}")
     replicates = spectra.shape[0]
     per_replicate = np.empty((replicates, k_max))
     powers = spectra.copy()
@@ -570,7 +573,12 @@ def moments_from_spectra(spectra: np.ndarray, k_max: int) -> EmpiricalMoments:
 
 
 def edge_from_values(values: np.ndarray) -> EdgeEstimate:
-    """Summarise per-replicate largest squared singular values, e.g. ``spectra[:, 0]``."""
+    """Summarise per-replicate largest squared singular values, e.g. ``spectra[:, 0]``.
+
+    Raises ValueError unless ``values`` is 1-D and non-empty.
+    """
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError(f"values must be a non-empty 1-D array, got shape {values.shape}")
     replicates = values.shape[0]
     q05, q50, q95 = np.quantile(values, [0.05, 0.5, 0.95])
     if replicates > 1:

@@ -12,7 +12,8 @@ Five suites, each checking one layer of the computation chain:
   recurrence as the rolled columns the moment layers read), plus
   log-concavity and the growth bound on consecutive ratios.
 - dominance: consecutive terms of the Stirling-form moment sum shrink at
-  the predicted rate and the first term dominates.
+  the predicted rate, the first term dominates, and the terms add up to
+  the falling-factorial moment, a route that shares none of their inputs.
 - asymptotic: the leading coefficient matches its binomial midpoint form
   exactly (sandwich bound) and the midpoint matches the closed-form
   approximation within a decreasing relative error.
@@ -264,11 +265,12 @@ def _suite_dominance(profile: str) -> SuiteResult:
             report.first_term_share >= share_floor,
             lambda: f"first-term share {float(report.first_term_share):.4g} below 0.9",
         )
-        # The reconstructed sum must reproduce the engine's scaled moment.
-        engine = moment_engine.moment_stirling_beta(moment_engine.MomentQuery(m=m, n=n, k=k))
+        # The terms must sum to the scaled moment of the falling-factorial
+        # route, which shares neither the expansion nor the Stirling column.
+        falling = moment_engine.moment_falling_sum(moment_engine.MomentQuery(m=m, n=n, k=k))
         suite.check(
             (m, n, k),
-            report.scaled_moment == engine.scaled,
+            report.scaled_moment == falling.scaled,
             lambda: "dominance terms do not reconstruct the scaled moment",
         )
     return suite

@@ -214,6 +214,14 @@ class TestRatio:
         with pytest.raises(IndexError):
             beta_ratio(bv, -1)
 
+    def test_order_must_be_an_int(self):
+        # A bool is an int subclass, but never an order: it is refused before the range check.
+        bv = compute_beta(1, 4, 2)
+        with pytest.raises(TypeError, match="^r must be an int, got bool$"):
+            beta_ratio(bv, True)
+        with pytest.raises(TypeError, match="^r must be an int, got float$"):
+            beta_ratio(bv, 1.0)
+
 
 class TestLargeNApproach:
     def test_coefficients_approach_binomials(self):

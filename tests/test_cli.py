@@ -5,6 +5,7 @@ can be asserted directly and fault injection reaches the engine calls.
 """
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -175,6 +176,14 @@ class TestDominanceCommand:
             if limit is not None:
                 sys.set_int_max_str_digits(limit)
 
+    def test_benchmark_call_writes_frozen_bytes(self, capsys):
+        # The benchmark's dominance call, every term and ratio in full: its stdout
+        # is frozen by digest, so the exact layer may change form, not output.
+        code, out, err = run_cli(capsys, "dominance", "--m", "3", "--n", "100000", "--k", "100")
+        assert (code, err) == (0, "")
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "3764d22d52751a1fde37a2e5e8dafb63f0624a995913f076eb126dbe983191ec"
+
 
 class TestTailboundCommand:
     def test_emits_schedule_table(self, capsys):
@@ -293,13 +302,28 @@ class TestSimulateCommand:
         ("0::/\n", "max\n", False),
         ("4:memory:/v1\n", "1048576\n", False),  # no cgroup v2 hierarchy
         ("0::/\n", None, False),  # no limit file
+        # cgroup v1: the memory group's memory.limit_in_bytes, given here as files
+        ("4:memory:/v1\n0::/\n", {"/sys/fs/cgroup/memory/v1/memory.limit_in_bytes": "1048576\n"}, True),
+        ("4:memory:/v1/\n0::/\n", {"/sys/fs/cgroup/memory/v1/memory.limit_in_bytes": "9223372036854771712\n"},
+         False),  # unlimited
+        ("4:memory:/\n", {"/sys/fs/cgroup/memory/memory.limit_in_bytes": "1048576\n"}, True),
+        ("3:cpu,memory:/a\n", {"/sys/fs/cgroup/memory/a/memory.limit_in_bytes": "1048576\n"}, True),
+        ("3:cpuset:/a\n", {"/sys/fs/cgroup/memory/a/memory.limit_in_bytes": "1048576\n"}, False),  # no memory
+        # both hierarchies: the lower limit wins, whichever holds it
+        ("4:memory:/v1\n0::/j\n", {"/sys/fs/cgroup/memory/v1/memory.limit_in_bytes": "1048576\n",
+                                     "/sys/fs/cgroup/j/memory.max": "4194304\n"}, True),
+        ("4:memory:/v1\n0::/j\n", {"/sys/fs/cgroup/memory/v1/memory.limit_in_bytes": "4194304\n",
+                                     "/sys/fs/cgroup/j/memory.max": "1048576\n"}, True),
     ])
     def test_available_bytes_reads_the_cgroup_limit(self, monkeypatch, cgroup, limit, lowered):
-        # Physical memory, lowered to the process's cgroup v2 memory.max where that
-        # holds a number; the files are opened for reading only.
+        # Physical memory, lowered to the least limit the process's cgroups set, v2
+        # memory.max or v1 memory.limit_in_bytes, where that holds a number; the files
+        # are opened for reading only. A str limit is the v2 memory.max.
         files = {"/proc/self/cgroup": cgroup}
         group = cgroup.rpartition("0::")[2].strip().rstrip("/")
-        if limit is not None:
+        if isinstance(limit, dict):
+            files.update(limit)
+        elif limit is not None:
             files[f"/sys/fs/cgroup{group}/memory.max"] = limit
 
         def read_only(path, *args, **kwargs):

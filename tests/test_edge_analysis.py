@@ -1,10 +1,12 @@
 """Unit tests for edge constants, tail schedules, dominance, asymptotics."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
+import ginprod.moment_engine
 from ginprod.beta_poly import compute_beta
 from ginprod.combinatorics import binomial
 from ginprod.edge_analysis import (
@@ -112,6 +114,17 @@ class TestMarkovBound:
         with pytest.raises(ValueError):
             markov_chain_bound(1, 3, Fraction(5), 4)
 
+    @pytest.mark.parametrize("z", [-1, 0, Fraction(-1, 2)])
+    def test_rejects_a_threshold_that_is_not_positive(self, z, monkeypatch):
+        # Markov's inequality needs z > 0: a negative z gave a "bound" and z = 0
+        # divided by zero. It is refused before the moment is computed.
+        def never(query):
+            raise AssertionError("the moment was computed before z was checked")
+
+        monkeypatch.setattr(ginprod.moment_engine, "moment_falling_sum", never)
+        with pytest.raises(ValueError, match=r"^z must be > 0 for Markov's inequality, got -?[0-9/]+$"):
+            markov_chain_bound(1, 4, z, 2)
+
 
 class TestDominance:
     def test_terms_reconstruct_engine_moment(self):
@@ -139,6 +152,41 @@ class TestDominance:
     def test_rejects_k_above_n(self):
         with pytest.raises(ValueError):
             dominance_report(1, 3, 4)
+
+
+# m = 1..3 at n = 10, 10^3 and 10^5, with every k in (1, 2, 5, 10) up to n; at
+# n = 10 and k >= 5 some ratio flags fail.
+_DOMINANCE_GRID = [(m, n, k) for m in (1, 2, 3) for n in (10, 10**3, 10**5) for k in (1, 2, 5, 10) if k <= n]
+
+
+class TestDominanceIntegers:
+    @pytest.mark.parametrize("m, n, k", _DOMINANCE_GRID)
+    def test_integer_flags_match_the_fraction_route(self, m, n, k):
+        # The flags are decided on the integer numerators; the Fraction ratios
+        # and bounds, built when read, decide them again.
+        report = dominance_report(m, n, k)
+        assert len(report.ratio_ok) == len(report.ratios) == len(report.ratio_bounds) == len(report.r_values) - 1
+        assert list(report.ratio_ok) == [ratio < bound for ratio, bound in zip(report.ratios, report.ratio_bounds)]
+        assert report.all_ratios_ok == all(report.ratio_ok)
+
+    @pytest.mark.parametrize("m, n, k", _DOMINANCE_GRID)
+    def test_scaled_moment_matches_the_falling_sum(self, m, n, k):
+        report = dominance_report(m, n, k)
+        assert report.scaled_moment == moment_falling_sum(MomentQuery(m=m, n=n, k=k)).scaled
+        assert sum(report.terms) * Fraction(n) ** (k * (m + 1)) / k == report.scaled_moment
+
+    def test_grid_has_failing_flags(self):
+        assert not all(dominance_report(m, n, k).all_ratios_ok for m, n, k in _DOMINANCE_GRID)
+
+    def test_stores_integers_and_builds_fractions_when_read(self):
+        report = dominance_report(2, 10**3, 5)
+        stored = [getattr(report, field.name) for field in dataclasses.fields(report)]
+        assert not any(isinstance(value, Fraction) for value in stored)
+        assert all(type(num) is int for num in report.numerators)
+        assert not {"terms", "ratios", "ratio_bounds"} & set(vars(report))
+        denominator = 10 ** (3 * 5 * 3)
+        assert report.terms == tuple(Fraction(num, denominator) for num in report.numerators)
+        assert report.terms is report.terms  # built once
 
 
 class TestAsymptotic:

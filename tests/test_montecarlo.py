@@ -8,6 +8,7 @@ moments: (k!)^m for complex entries and ((2k-1)!!)^m for real ones.
 
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -645,6 +646,13 @@ class TestMoments:
         with pytest.raises(ValueError):
             moments_from_spectra(_spectra(spec, 2), 0)
 
+    @pytest.mark.parametrize("spectra", [np.ones(3), np.ones((2, 3, 1)), np.empty((0, 3)), np.empty((2, 0))],
+                             ids=["1-D", "3-D", "no-replicates", "no-values"])
+    def test_rejects_a_spectra_array_of_the_wrong_shape(self, spectra):
+        with pytest.raises(ValueError, match=r"^spectra must be a non-empty 2-D \(replicates, n\) array, "
+                                             rf"got shape {re.escape(str(spectra.shape))}$"):
+            moments_from_spectra(spectra, 2)
+
 
 class TestEdgeEstimate:
     def test_quantiles_ordered_and_consistent(self):
@@ -653,6 +661,12 @@ class TestEdgeEstimate:
         assert est.q05 <= est.q50 <= est.q95
         assert est.values.shape == (100,)
         assert est.mean_s1sq == pytest.approx(float(est.values.mean()))
+
+    @pytest.mark.parametrize("values", [np.empty(0), np.ones((3, 2))], ids=["empty", "2-D"])
+    def test_rejects_values_of_the_wrong_shape(self, values):
+        with pytest.raises(ValueError, match=rf"^values must be a non-empty 1-D array, "
+                                             rf"got shape {re.escape(str(values.shape))}$"):
+            edge_from_values(values)
 
     def test_edge_from_values_matches_estimate(self):
         # Each convergence row is edge_from_values over that size's top values.

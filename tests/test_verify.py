@@ -179,3 +179,23 @@ class TestFaultInjection:
         cross = next(s for s in report.suites if s.name == "cross_formula")
         assert [f.point for f in cross.failures] == [(m, n, k)]
         assert "stirling_beta=" in cross.failures[0].message
+
+    def test_corrupted_stirling_summand_is_caught_by_the_falling_sum(self, monkeypatch):
+        # The dominance report and the Stirling-form moment read the same
+        # summands, so one summand one unit off must be caught against the
+        # falling-factorial route: at that point alone, and by no other suite.
+        m, n, k = 2, 10**3, 3
+        real = ginprod.moment_engine._stirling_summands
+
+        def corrupted(*args):
+            r_values, summands = real(*args)
+            if args == (m, n, k):
+                summands = (summands[0] + 1,) + summands[1:]
+            return r_values, summands
+
+        monkeypatch.setattr(ginprod.moment_engine, "_stirling_summands", corrupted)
+        report = run_verify("quick")
+        assert [(f.suite, f.point, f.message) for f in report.failures] == [
+            ("dominance", (m, n, k), "dominance terms do not reconstruct the scaled moment")
+        ]
+        assert [s.checks for s in report.suites] == [123, 330, 1046, 66, 8]
