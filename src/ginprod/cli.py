@@ -328,6 +328,16 @@ def _available_bytes() -> int:
     return min([physical, *(int(limit) for limit in limits if limit.isdigit())])
 
 
+def _refuse_past_memory(specs: list[montecarlo.GinibreSpec], config: montecarlo.RunConfig) -> None:
+    """Refuse, before any draw, runs of which the largest would not fit the memory this process can
+    have: its result array and its workers' buffers, as :func:`montecarlo._run_bytes` counts them."""
+    need, n = max((montecarlo._run_bytes(spec, config), spec.n) for spec in specs)
+    available = _available_bytes()
+    if need > available:
+        raise ValueError(f"sampling {config.replicates} replicates at n = {n} needs {need / 2**30:.1f} GiB "
+                         f"of arrays, more than the {available / 2**30:.1f} GiB this process can have")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> _Result:
     spec = montecarlo.GinibreSpec(n=args.n, m=args.m, field=args.field)
     config = _run_config(args)
@@ -338,6 +348,7 @@ def _cmd_simulate(args: argparse.Namespace) -> _Result:
             raise ValueError(f"k_max {args.kmax} needs a {config.replicates} x {args.kmax} moment table of "
                              f"{table / 2**30:.1f} GiB, more than the {available / 2**30:.1f} GiB "
                              "this process can have")
+    _refuse_past_memory([spec], config)
     spectra = montecarlo.collect_spectra(spec, config)
     edge = montecarlo.edge_from_values(spectra[:, 0])
     u = edge_analysis.edge_constant(args.m).u
@@ -381,7 +392,9 @@ def _cmd_simulate(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_converge(args: argparse.Namespace) -> _Result:
-    rows = montecarlo.convergence_table(args.m, args.n_grid, _run_config(args), field=args.field)
+    config = _run_config(args)
+    _refuse_past_memory([montecarlo.GinibreSpec(n=n, m=args.m, field=args.field) for n in args.n_grid], config)
+    rows = montecarlo.convergence_table(args.m, args.n_grid, config, field=args.field)
     table = _Table(
         {"m": args.m, "field": args.field, "u": edge_analysis.edge_constant(args.m).u},
         ["n", "mean_s1sq", "gap", "standard_error", "replicates"],

@@ -61,19 +61,24 @@ here once:
 - Held or streamed. A run streams when a full batch's draws exceed the
   budget (a replicate over it alone, or a floor batch); this is decided
   once, where the batches are made, and a short last batch follows it.
-- Held draws. A held batch draws all its replicates first, then builds
-  each factor for the whole batch and multiplies: at most m + 3 n x n
-  arrays a replicate, m + 1 at m = 1, allocated per batch. Its
-  per-replicate Python work is one fill, which is why small replicates
-  keep this way.
-- Streamed draws. A streamed batch never holds its draws: each
-  replicate's factors are drawn one at a time and multiplied into its row
-  of the batch's product array through one spare product, and a complex
-  factor's draws are made in whichever product-sized buffer is free. Such
-  a batch holds b + 2 n x n arrays, three at b = 1 for any m; at m = 1
-  the rows alone, plus the spare for complex entries. Each worker makes
-  these buffers once, before its loop, for its first batch, which is its
-  largest, and drops them when its loop ends.
+- Buffers. Each worker makes one buffer set before its loop, for its
+  first batch, which is its largest; a short last batch uses its front
+  rows, and the set is dropped when the loop ends. The set
+  (:func:`_buffer_shapes`) is a (b, n, n) product array, a spare product
+  when m > 1 or streamed complex entries need one, a factor when m > 1,
+  and the draws when held. The spare and the factor are b deep when held
+  and one replicate deep when streamed. One chain (:func:`_chain`) builds
+  every product: the partial products W_1...W_j alternate between the
+  product array and the spare, starting where the last lands in the
+  product array, and each factor after W_1 is written into the factor
+  buffer before it is multiplied in. A held batch draws all
+  its replicates first, one fill each, which is why small replicates keep
+  this way, then runs the chain once over the batch: m + 3 n x n arrays a
+  replicate, m + 1 at m = 1. A streamed batch never holds its draws: it
+  runs the chain once per replicate, drawing each factor where the chain
+  writes it, a complex factor's parts in whichever product-sized buffer
+  is free. It holds b + 2 n x n arrays, three at b = 1 for any m; at
+  m = 1 the rows alone, plus the spare for complex entries.
 
 The streams are derived in bulk: once per run, numpy's own
 ``SeedSequence(master_seed, spawn_key=(n, m, field))`` mixes the run's
@@ -221,10 +226,16 @@ class EmpiricalMoments:
     standard_errors: np.ndarray
 
     def mean(self, k: int) -> float:
-        return float(self.means[k - 1])
+        return float(self.means[self._row(k)])
 
     def standard_error(self, k: int) -> float:
-        return float(self.standard_errors[k - 1])
+        return float(self.standard_errors[self._row(k)])
+
+    def _row(self, k: int) -> int:
+        """Row of order k; TypeError for a bool or a non-int, ValueError below 1, IndexError past k_max."""
+        if _natural("k", k, 1) > len(self.means):
+            raise IndexError(f"k must be <= k_max = {len(self.means)}, got {k}")
+        return k - 1
 
 
 @dataclass
@@ -335,67 +346,61 @@ def _entries(spec: GinibreSpec, draws: np.ndarray, out: np.ndarray) -> np.ndarra
     return out
 
 
-def _draw_factor(
-    spec: GinibreSpec, rng: np.random.Generator, out: np.ndarray, scratch: np.ndarray | None
-) -> None:
-    """Draw the stream's next factor into ``out``: a real one in place, a complex
-    one's parts in ``scratch``, a free array of out's shape and dtype."""
-    draws = out[None] if spec.field == "real" else scratch.view(np.float64).reshape(2, spec.n, spec.n)
+def _draw_factor(spec: GinibreSpec, rng: np.random.Generator, out: np.ndarray, free: np.ndarray | None) -> None:
+    """Draw the stream's next factor into ``out``, shape (1, n, n): a real one in
+    place, a complex one's parts in ``free``, an array of out's shape and dtype."""
+    draws = out[:, None] if spec.field == "real" else free.view(np.float64).reshape(2, spec.n, spec.n)
     rng.standard_normal(out=draws)
     _entries(spec, draws, out)
 
 
-def _stream_buffers(spec: GinibreSpec, b: int) -> tuple:
-    """One worker's buffers for streamed batches of up to b replicates: a (b, n, n)
-    product array, a spare product when m > 1 or the entries are complex, and a
-    factor when m > 1 (see the module docstring)."""
+def _buffer_shapes(spec: GinibreSpec, b: int, streamed: bool) -> tuple:
+    """(shape, dtype), or None where the way uses none, of one worker's buffers for batches
+    of up to b replicates: draws, product, spare and factor (see the module docstring)."""
     n, dtype = spec.n, _ENTRY_DTYPES[spec.field]
-    spare = np.empty((n, n), dtype) if spec.m > 1 or spec.field == "complex" else None
-    return np.empty((b, n, n), dtype), spare, np.empty((n, n), dtype) if spec.m > 1 else None
+    draws = None if streamed else ((b, *_draw_shape(spec)), np.float64)
+    deep = ((1 if streamed else b, n, n), dtype)
+    spare = spec.m > 1 or streamed and spec.field == "complex"
+    return draws, ((b, n, n), dtype), deep if spare else None, deep if spec.m > 1 else None
 
 
-def _streamed_products(
-    spec: GinibreSpec, rng: np.random.Generator, states: Iterator[dict], buffers: tuple, b: int
+def _chain(
+    spec: GinibreSpec, product: np.ndarray, spare: np.ndarray | None, factor: np.ndarray | None, fill: Callable
 ) -> np.ndarray:
-    """The products of b states, shape (b, n, n), each replicate's factors drawn one at a
-    time into this worker's ``buffers`` (:func:`_stream_buffers`)."""
-    products, spare, factor = buffers
-    for i, state in enumerate(states):
-        rng.bit_generator.state = state
-        # partial[j] holds W_1...W_{j+1}; partial[1] is free while W_1 is
-        # drawn, and partial[j] while W_{j+1} is, until the product lands in it.
-        partial = [products[i] if (spec.m - j) % 2 else spare for j in range(spec.m + 1)]
-        _draw_factor(spec, rng, partial[0], partial[1])
-        for j in range(1, spec.m):
-            _draw_factor(spec, rng, factor, partial[j])
-            np.matmul(partial[j - 1], factor, out=partial[j])
-    return products[:b]
+    """The products W_1...W_m, written into ``product`` and returned. ``fill(j, out, free)``
+    writes factor j + 1 into ``out`` and may use ``free``, a product-sized array not in use."""
+    # partial[j] holds W_1...W_{j+1}; partial[1] is free while W_1 is
+    # drawn, and partial[j] while W_{j+1} is, until the product lands in it.
+    partial = [product if (spec.m - j) % 2 else spare for j in range(spec.m + 1)]
+    fill(0, partial[0], partial[1])
+    for j in range(1, spec.m):
+        fill(j, factor, partial[j])
+        np.matmul(partial[j - 1], factor, out=partial[j])
+    return product
 
 
-def _draw_stage(spec: GinibreSpec, prefix: tuple, batch: range, buffers: tuple | None) -> np.ndarray:
-    """The products W_1...W_m of a batch, shape (b, n, n), streamed into this worker's
-    ``buffers``, or held when they are None (see the module docstring).
+def _draw_stage(spec: GinibreSpec, prefix: tuple, batch: range, buffers: tuple) -> np.ndarray:
+    """The products W_1...W_m of a batch, shape (b, n, n), held or streamed as this
+    worker's ``buffers`` (:func:`_buffer_shapes`) say: a view of their product array.
 
     Row i is replicate ``batch[i]``, drawn from the stream of
     ``replicate_rng(spec, master_seed, batch[i])`` (``prefix`` is
     ``_seed_prefix(spec, master_seed)``), factor by factor, each factor's
     real part before its imaginary part.
     """
-    # The draws are made before the generator: that order samples held batches faster.
-    draws = None if buffers is not None else np.empty((len(batch), *_draw_shape(spec)))
+    draws, product, spare, factor = (a if a is None else a[: len(batch)] for a in buffers)
     # Seeded from the run's sequence, so no OS entropy is read; each replicate's state replaces it.
     rng = np.random.Generator(np.random.PCG64(prefix[0]))
     states = _replicate_states(prefix, np.arange(batch.start, batch.stop))
-    if buffers is not None:
-        return _streamed_products(spec, rng, states, buffers, len(batch))
     for i, state in enumerate(states):
         rng.bit_generator.state = state
-        rng.standard_normal(out=draws[i])
-    product = _entries(spec, draws[:, 0], np.empty((len(batch), spec.n, spec.n), _ENTRY_DTYPES[spec.field]))
-    factor = np.empty_like(product) if spec.m > 1 else None
-    for j in range(1, spec.m):
-        product = product @ _entries(spec, draws[:, j], factor)
-    return product
+        if draws is None:  # streamed: the chain runs per replicate, drawing each factor where it goes
+            _chain(spec, product[i : i + 1], spare, factor, lambda j, out, free: _draw_factor(spec, rng, out, free))
+        else:
+            rng.standard_normal(out=draws[i])
+    if draws is None:
+        return product
+    return _chain(spec, product, spare, factor, lambda j, out, free: _entries(spec, draws[:, j], out))
 
 
 def _reduce_stage(spec: GinibreSpec, batch: range, product: np.ndarray) -> np.ndarray:
@@ -438,6 +443,16 @@ def _batches(spec: GinibreSpec, config: RunConfig) -> tuple[list[range], bool]:
     size = max(1, min(size, per_worker))
     batches = [range(start, min(start + size, config.replicates)) for start in range(0, config.replicates, size)]
     return batches, size * _draw_bytes(spec) > BATCH_DRAW_BYTES
+
+
+def _run_bytes(spec: GinibreSpec, config: RunConfig) -> int:
+    """Bytes of the arrays a run holds at once: its (replicates, n) result and each of its
+    workers' buffers (:func:`_buffer_shapes`), made for the first batch, the largest.
+    The decomposition's output and workspace, a few arrays of one batch's values, are not counted."""
+    batches, streamed = _batches(spec, config)
+    shapes = filter(None, _buffer_shapes(spec, len(batches[0]), streamed))
+    buffers = sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in shapes)
+    return config.replicates * spec.n * 8 + min(config.workers, len(batches)) * buffers
 
 
 @functools.cache
@@ -520,7 +535,8 @@ def collect_spectra(spec: GinibreSpec, config: RunConfig) -> np.ndarray:
 
     def work(w: int) -> None:
         try:
-            buffers = _stream_buffers(spec, len(batches[w])) if streamed else None
+            shapes = _buffer_shapes(spec, len(batches[w]), streamed)
+            buffers = tuple(None if shape is None else np.empty(*shape) for shape in shapes)
             for batch in batches[w::workers]:
                 if failed.is_set():
                     return
@@ -614,16 +630,12 @@ def convergence_table(
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError(f"n_grid must be strictly ascending, got {n_grid}")
     u = float(edge_constant(m).u)
-    rows = []
-    for spec in specs:
+
+    def row(spec: GinibreSpec) -> ConvergenceRow:
+        # The estimate's values view this point's spectra: they go when the row is made,
+        # so the next point samples without them.
         est = edge_from_values(collect_spectra(spec, config)[:, 0])
-        rows.append(
-            ConvergenceRow(
-                n=spec.n,
-                mean_s1sq=est.mean_s1sq,
-                gap=u - est.mean_s1sq,
-                standard_error=est.standard_error,
-                replicates=config.replicates,
-            )
-        )
-    return rows
+        return ConvergenceRow(n=spec.n, mean_s1sq=est.mean_s1sq, gap=u - est.mean_s1sq,
+                              standard_error=est.standard_error, replicates=config.replicates)
+
+    return [row(spec) for spec in specs]

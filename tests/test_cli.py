@@ -354,6 +354,35 @@ class TestSimulateCommand:
         code, _, err = run_cli(capsys, *base, "64")  # a table that fits passes the check, to sampling
         assert (code, err) == (4, "ginprod: internal error: AssertionError: sampled before the moment table was checked\n")
 
+    @pytest.mark.parametrize("argv, need", [
+        # Held, one worker, one batch of 23: the (23, 6) result, then draws,
+        # product, spare and factor, m + 3 = 5 arrays of 6 x 6 a replicate.
+        (("simulate", "--m", "2", "--n", "6", "--replicates", "23", "--workers", "1"), 23 * 6 * 8 + 23 * 5 * 36 * 8),
+        # Streamed complex m = 2 at n = 200: eight workers, each with a product
+        # array for its floor batch of three and a spare and a factor of one.
+        (("simulate", "--m", "2", "--n", "200", "--field", "complex", "--replicates", "25", "--workers", "8"),
+         25 * 200 * 8 + 8 * 5 * 200**2 * 16),
+        # The grid's largest point: held real m = 1 at n = 8, draws and product.
+        (("converge", "--m", "1", "--n-grid", "4,8", "--replicates", "10", "--workers", "1"),
+         10 * 8 * 8 + 10 * 2 * 64 * 8),
+    ])
+    def test_run_past_memory_is_refused_before_sampling(self, capsys, monkeypatch, argv, need):
+        # The result array and every worker's buffers must fit the memory the
+        # process can have; nothing is drawn before the check.
+        def never(*args, **kwargs):
+            raise AssertionError("sampled before the run's memory was checked")
+
+        monkeypatch.setattr(ginprod.montecarlo, "collect_spectra", never)
+        monkeypatch.setattr(ginprod.cli, "_available_bytes", lambda: need - 1)
+        code, out, err = run_cli(capsys, *argv, "--seed", "1")
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"ginprod: error: sampling [0-9]+ replicates at n = [0-9]+ needs [0-9.]+ GiB of arrays, "
+                            r"more than the 0\.0 GiB this process can have\n", err)
+        monkeypatch.setattr(ginprod.cli, "_available_bytes", lambda: need)
+        code, _, err = run_cli(capsys, *argv, "--seed", "1")
+        assert (code, err) == (4, "ginprod: internal error: AssertionError: "
+                                  "sampled before the run's memory was checked\n")
+
     def test_replicate_csv_and_spectra(self, capsys, tmp_path):
         rep_csv = tmp_path / "reps.csv"
         spec_dir = tmp_path / "spectra"

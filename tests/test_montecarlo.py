@@ -325,16 +325,17 @@ class TestBatchKernel:
 
 
 def _record_stages(monkeypatch):
-    """Patch both stages to record (stage, thread, batch length, buffers) per call; return the records."""
+    """Patch both stages to record (stage, thread, batch length, buffers, result) per call; return the records."""
     calls = []
     draw, reduce = ginprod.montecarlo._draw_stage, ginprod.montecarlo._reduce_stage
 
     def draw_stage(spec, prefix, batch, buffers):
-        calls.append(("draw", threading.current_thread(), len(batch), buffers))
-        return draw(spec, prefix, batch, buffers)
+        products = draw(spec, prefix, batch, buffers)
+        calls.append(("draw", threading.current_thread(), len(batch), buffers, products))
+        return products
 
     def reduce_stage(spec, batch, products):
-        calls.append(("reduce", threading.current_thread(), len(batch), None))
+        calls.append(("reduce", threading.current_thread(), len(batch), None, None))
         return reduce(spec, batch, products)
 
     monkeypatch.setattr(ginprod.montecarlo, "_draw_stage", draw_stage)
@@ -363,27 +364,50 @@ class TestScheduling:
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_a_run_draws_all_its_batches_one_way(self, monkeypatch, workers):
-        # A complex m = 2, n = 200 replicate is over the budget, so the run
+        # At n = 200 a complex m = 2 replicate is over the budget, so its run
         # streams: 25 batches of one at one worker, else eight floor batches of
-        # three and a last one of one, which streams too. Each worker makes its
-        # buffers once, for its first batch; at eight workers worker 0 also
-        # takes the last. Five replicates at n = 5 fit the budget: all are held.
-        spec = GinibreSpec(n=200, m=2, field="complex")
-        want = _spectra(spec, 25)
-        calls = _record_stages(monkeypatch)
-        assert np.array_equal(_spectra(spec, 25, workers), want)
-        draws = [call for call in calls if call[0] == "draw"]
-        assert sorted(size for _, _, size, _ in draws) == ([1] * 25 if workers == 1 else [1] + [3] * 8)
-        by_thread = {}
-        for _, thread, _, buffers in draws:
-            by_thread.setdefault(thread, []).append(buffers)
-        assert len(by_thread) == min(workers, len(draws)) and threading.current_thread() in by_thread
-        for made in by_thread.values():
-            assert all(buffers is made[0] for buffers in made)
-            assert made[0][0].shape == ((1 if workers == 1 else 3), 200, 200)
-        calls.clear()
-        _spectra(GinibreSpec(n=5, m=1, field="complex"), 5, workers)
-        assert [call[3] for call in calls if call[0] == "draw"] and all(call[3] is None for call in calls)
+        # three and a last one of one, which streams too. Three real m = 1
+        # replicates fit the budget, so that run holds batches of three and a
+        # last one of one at every worker count. Each worker makes one buffer
+        # set, for its first batch, and its short last batch reuses it (worker
+        # 0 at one and at eight workers). Only a held set has draws.
+        for spec, streamed in ((GinibreSpec(n=200, m=2, field="complex"), True), (GinibreSpec(n=200, m=1), False)):
+            want = _spectra(spec, 25)
+            calls = _record_stages(monkeypatch)
+            assert np.array_equal(_spectra(spec, 25, workers), want)
+            monkeypatch.undo()
+            draws = [call for call in calls if call[0] == "draw"]
+            sizes = sorted(size for _, _, size, _, _ in draws)
+            assert sizes == ([1] * 25 if streamed and workers == 1 else [1] + [3] * 8)
+            by_thread = {}
+            for _, thread, _, buffers, _ in draws:
+                by_thread.setdefault(thread, []).append(buffers)
+            assert len(by_thread) == min(workers, len(draws)) and threading.current_thread() in by_thread
+            for made in by_thread.values():
+                assert all(buffers is made[0] for buffers in made)
+                held_draws, product = made[0][:2]
+                assert product.shape == (sizes[-1], 200, 200)
+                assert held_draws is None if streamed else held_draws.shape == (sizes[-1], spec.m, 1, 200, 200)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_products_are_views_of_the_workers_product_buffer(self, monkeypatch, field, m, streamed):
+        # Held or streamed, the draw stage writes every batch's products into
+        # its worker's product array and returns its front rows, the ragged
+        # last batch included: 7 replicates in batches of three, or at two
+        # workers two floor batches capped at the share of four.
+        spec = GinibreSpec(n=5, m=m, field=field)
+        budget = _streaming_budget(spec) if streamed else 3 * _replicate_bytes(spec)
+        monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", budget)
+        for workers, sizes in ((1, [1] * 7 if streamed else [1, 3, 3]), (2, [3, 4])):
+            calls = _record_stages(monkeypatch)
+            _spectra(spec, 7, workers)
+            draws = [call for call in calls if call[0] == "draw"]
+            assert sorted(size for _, _, size, _, _ in draws) == sizes
+            for _, _, size, buffers, products in draws:
+                assert products.base is buffers[1] and products.shape == (size, 5, 5)
+                assert (buffers[0] is None) == streamed
 
 
 class TestSeeding:
@@ -641,6 +665,19 @@ class TestMoments:
                 moments_from_spectra(np.array(spectra), 9)
             assert np.isfinite(moments_from_spectra(np.array(spectra), order - 1).means).all()
 
+    @pytest.mark.parametrize("k, error", [
+        (0, ValueError), (-1, ValueError), (4, IndexError),
+        (True, TypeError), (1.0, TypeError), (np.int64(1), TypeError),
+    ])
+    def test_order_outside_one_to_kmax_is_refused(self, k, error):
+        # An order is not a Python index: 0 and -1 must not wrap round to the
+        # last moments, nor True pass for the first.
+        moments = moments_from_spectra(np.array([[2.0, 1.0], [3.0, 1.0]]), 3)
+        assert [moments.mean(order) for order in (1, 2, 3)] == [1.75, 3.75, 9.25]
+        for read in (moments.mean, moments.standard_error):
+            with pytest.raises(error):
+                read(k)
+
     def test_rejects_bad_kmax(self):
         spec = GinibreSpec(n=5, m=1)
         with pytest.raises(ValueError):
@@ -692,6 +729,23 @@ class TestConvergenceTable:
         rows = convergence_table(1, [16, 32], RunConfig(replicates=25, master_seed=SEED))
         for row in rows:
             assert row.gap == pytest.approx(4.0 - row.mean_s1sq)
+
+    def test_one_grid_point_is_held_at_a_time(self):
+        # A point's spectra are released before the next point samples: the
+        # traced peak of the grid 40, 41 stays below that of 41 alone plus half
+        # of the (replicates, 40) array it would otherwise keep.
+        config = RunConfig(replicates=2000, master_seed=SEED, workers=1)
+
+        def peak(grid):
+            tracemalloc.start()
+            try:
+                convergence_table(1, grid, config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        convergence_table(1, [41], config)  # warm up
+        assert peak([40, 41]) < peak([41]) + 2000 * 40 * 8 / 2
 
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import ginprod
-from ginprod import beta_poly, combinatorics, edge_analysis, moment_engine, montecarlo, verify
+from ginprod import beta_poly, cli, combinatorics, edge_analysis, moment_engine, montecarlo, verify
 
 MODULES = (combinatorics, beta_poly, moment_engine, edge_analysis, montecarlo, verify)
 SRC = Path(ginprod.__file__).parents[1]
@@ -37,3 +37,19 @@ def test_readme_quick_start_runs():
     )
     assert done.returncode == 0, done.stderr
     assert 3.5 < float(done.stdout) < 4  # the sampled mean of s_1^2, below u_1 = 4
+
+
+def test_docstring_references_resolve():
+    # A renamed or deleted helper must not live on in the prose that names it:
+    # every :func:, :data: and :class: reference in src/ is a name of its module
+    # or, dotted, of the package.
+    references = 0
+    for module in (ginprod, *MODULES, cli):
+        for name in re.findall(r":(?:func|data|class):`([\w.]+)`", Path(module.__file__).read_text(encoding="utf-8")):
+            head, *rest = name.split(".")
+            obj = getattr(module, head) if hasattr(module, head) else getattr(ginprod, head, None)
+            for attr in rest:
+                obj = getattr(obj, attr, None)
+            assert obj is not None, f"{module.__name__} names {name}, which does not resolve"
+            references += 1
+    assert references > 30
