@@ -466,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--replicates", type=int, required=True)
     run.add_argument("--seed", type=int, required=True, help="master seed (unsigned 64-bit)")
     run.add_argument("--workers", type=int, default=None,
-                     help=f"worker threads, at most {montecarlo.MAX_WORKERS} "
-                          f"(default: ${montecarlo.WORKERS_ENV_VAR} or the usable cores)")
+                     help=f"worker threads, at most {montecarlo.MAX_WORKERS}; a worker left a spare core "
+                          f"decomposes on a helper thread (default: ${montecarlo.WORKERS_ENV_VAR} or the usable cores)")
 
     commands = {}
     for name, description, handler, shared in _COMMANDS:

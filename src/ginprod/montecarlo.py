@@ -30,7 +30,9 @@ multithreaded BLAS changes the last bits of large complex products. The
 thread control is looked up on the first sampling run; where none is
 found (:func:`blas_pinned` is False) sampling runs unpinned and the bits
 hold only at one BLAS thread count. Runs with fewer batches than cores
-pay for this, as they lose BLAS's own parallelism.
+pay for this, as they lose BLAS's own parallelism; a worker left a spare
+core wins part of it back by decomposing on a helper thread while it
+draws (see Workers below).
 
 Replicates are sampled in batches, each in two stages. The draw stage
 (:func:`_draw_stage`) builds the batch's products W_1...W_m, each
@@ -55,9 +57,19 @@ here once:
   entries). One-worker runs keep the budget, and a run of fewer than
   twice the floor's replicates gets batches below it.
 - Workers. A run has W = min(workers, batches) workers, and worker w
-  takes batches w, w + W, ... in one loop. The calling thread is worker
-  0, so a one-worker run starts no thread. A worker that raises stops the
-  others before their next batch.
+  takes batches w, w + W, ... in one loop, deriving each batch's range as
+  it goes. The calling thread is worker 0. A worker keeps both stages on
+  its own thread unless the run leaves it a core: worker w gets a helper
+  thread when w < usable cores - W (:func:`_usable_cores`) and it has more
+  than one batch (:func:`_helpers`). It then draws batch i + 1 while its
+  helper reduces batch i, and waits for that reduce before it hands batch
+  i + 1 over, so a helper holds one batch at a time. A one-worker run
+  starts one helper where a core is free and no thread where none is. A
+  batch of stack size x n at most ``SVD_GIL_THRESHOLD``, as one replicate
+  at n <= 500, decomposes holding the GIL (see the GIL floor), so there
+  the draws overlap it only in part. A stage that raises stops every
+  worker before its next batch, and a worker joins its helper before it
+  returns.
 - Held or streamed. A run streams when a full batch's draws exceed the
   budget (a replicate over it alone, or a floor batch); this is decided
   once, where the batches are made, and a short last batch follows it.
@@ -67,8 +79,11 @@ here once:
   (:func:`_buffer_shapes`) is a (b, n, n) product array, a spare product
   when m > 1 or streamed complex entries need one, a factor when m > 1,
   and the draws when held. The spare and the factor are b deep when held
-  and one replicate deep when streamed. One chain (:func:`_chain`) builds
-  every product: the partial products W_1...W_j alternate between the
+  and one replicate deep when streamed. A worker with a helper makes a
+  second product array, and its batches alternate between the two; the
+  draws, the spare and the factor stay single, as only the worker's own
+  thread uses them. One chain (:func:`_chain`) builds every product:
+  the partial products W_1...W_j alternate between the
   product array and the spare, starting where the last lands in the
   product array, and each factor after W_1 is written into the factor
   buffer before it is multiplied in. A held batch draws all
@@ -98,7 +113,7 @@ import importlib
 import math
 import os
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -127,6 +142,7 @@ WORKERS_ENV_VAR = "GINPROD_WORKERS"
 #: Most workers a run may ask for. :func:`collect_spectra` starts a thread
 #: for each worker but the first, and :func:`_batches` makes about one batch
 #: per worker, so an unbounded count would ask the OS for that many threads.
+#: Helper threads add none past that: they go only to cores the workers leave.
 MAX_WORKERS = 256
 
 #: Relative tolerance for the sum-of-squares vs Frobenius-norm consistency
@@ -163,6 +179,11 @@ _BLAS_THREAD_SYMBOLS = (
 )
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity set where the OS has one, else the CPU count."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def default_workers() -> int:
     """Worker count from the environment (GINPROD_WORKERS), default the usable cores.
 
@@ -170,8 +191,7 @@ def default_workers() -> int:
     """
     raw = os.environ.get(WORKERS_ENV_VAR)
     if raw is None:
-        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        return min(cores, MAX_WORKERS)
+        return min(_usable_cores(), MAX_WORKERS)
     try:
         workers = int(raw)
     except ValueError:
@@ -433,26 +453,34 @@ def _reduce_stage(spec: GinibreSpec, batch: range, product: np.ndarray) -> np.nd
     return squared
 
 
-def _batches(spec: GinibreSpec, config: RunConfig) -> tuple[list[range], bool]:
-    """Consecutive replicate ranges under the budget, share and GIL-floor rules of the
-    module docstring, and whether the run streams them."""
+def _batches(spec: GinibreSpec, config: RunConfig) -> tuple[int, int, bool]:
+    """The size and count of a run's batches under the budget, share and GIL-floor rules of
+    the module docstring, and whether the run streams them. Batch i holds replicates
+    i * size up to (i + 1) * size, or up to the run's end for the last."""
     size = BATCH_DRAW_BYTES // (_draw_bytes(spec) + SEED_BYTES)
     if config.workers > 1:
         size = max(size, SVD_GIL_THRESHOLD // spec.n + 1)
     per_worker = -(-config.replicates // config.workers)
     size = max(1, min(size, per_worker))
-    batches = [range(start, min(start + size, config.replicates)) for start in range(0, config.replicates, size)]
-    return batches, size * _draw_bytes(spec) > BATCH_DRAW_BYTES
+    return size, -(-config.replicates // size), size * _draw_bytes(spec) > BATCH_DRAW_BYTES
+
+
+def _helpers(workers: int, batches: int) -> int:
+    """How many of a run's ``workers`` (W) get a helper thread for their reduce stages:
+    worker w does when w < usable cores - W and it has more than one batch, w + W < batches."""
+    return max(0, min(workers, _usable_cores() - workers, batches - workers))
 
 
 def _run_bytes(spec: GinibreSpec, config: RunConfig) -> int:
-    """Bytes of the arrays a run holds at once: its (replicates, n) result and each of its
-    workers' buffers (:func:`_buffer_shapes`), made for the first batch, the largest.
+    """Bytes of the arrays a run holds at once: its (replicates, n) result, each of its
+    workers' buffers (:func:`_buffer_shapes`), made for the first batch, the largest, and
+    the second product array of each worker with a helper (:func:`_helpers`).
     The decomposition's output and workspace, a few arrays of one batch's values, are not counted."""
-    batches, streamed = _batches(spec, config)
-    shapes = filter(None, _buffer_shapes(spec, len(batches[0]), streamed))
-    buffers = sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in shapes)
-    return config.replicates * spec.n * 8 + min(config.workers, len(batches)) * buffers
+    size, count, streamed = _batches(spec, config)
+    workers = min(config.workers, count)
+    shapes = _buffer_shapes(spec, size, streamed)
+    nbytes = [0 if shape is None else math.prod(shape[0]) * np.dtype(shape[1]).itemsize for shape in shapes]
+    return config.replicates * spec.n * 8 + workers * sum(nbytes) + _helpers(workers, count) * nbytes[1]
 
 
 @functools.cache
@@ -523,25 +551,49 @@ def collect_spectra(spec: GinibreSpec, config: RunConfig) -> np.ndarray:
     largest values s_1^2. Linear-algebra failures and non-finite spectra
     raise ArithmeticError rather than propagating NaN. Each worker takes
     its own batches and writes only their rows; the calling thread is the
-    first worker (see the module docstring). BLAS runs at one thread
-    meanwhile (see :func:`blas_pinned`).
+    first worker, and a worker the run leaves a core reduces on a helper
+    thread (see the module docstring). BLAS runs at one thread meanwhile
+    (see :func:`blas_pinned`).
     """
     spectra = np.empty((config.replicates, spec.n))
     prefix = _seed_prefix(spec, config.master_seed)
-    batches, streamed = _batches(spec, config)
-    workers = min(config.workers, len(batches))
-    # A worker that raises sets failed, so the others stop before their next batch, and keeps its error.
+    size, count, streamed = _batches(spec, config)
+    workers = min(config.workers, count)
+    helpers = _helpers(workers, count)
+    if helpers:  # imported here, so that runs with no helper and the exact commands never pay for it
+        from concurrent.futures import ThreadPoolExecutor
+    # A stage that raises sets failed, so the workers stop before their next batch, and keeps its error.
     failed, errors = threading.Event(), []
+
+    def reduce(batch: range, products: np.ndarray) -> None:
+        if failed.is_set():
+            return
+        try:
+            spectra[batch.start : batch.stop] = _reduce_stage(spec, batch, products)
+        except BaseException as exc:
+            failed.set()
+            errors.append(exc)
 
     def work(w: int) -> None:
         try:
-            shapes = _buffer_shapes(spec, len(batches[w]), streamed)
+            shapes = _buffer_shapes(spec, size, streamed)
             buffers = tuple(None if shape is None else np.empty(*shape) for shape in shapes)
-            for batch in batches[w::workers]:
-                if failed.is_set():
-                    return
-                products = _draw_stage(spec, prefix, batch, buffers)
-                spectra[batch.start : batch.stop] = _reduce_stage(spec, batch, products)
+            # Leaving the block joins the helper, once it has reduced what it was handed.
+            with ThreadPoolExecutor(1) if w < helpers else nullcontext() as helper:
+                # Batch i is drawn into product array i % 2 while the helper reduces batch i - 1 from the other.
+                sets = [buffers] if helper is None else [buffers, (buffers[0], np.empty_like(buffers[1]), *buffers[2:])]
+                pending = None
+                for i, start in enumerate(range(w * size, config.replicates, workers * size)):
+                    if failed.is_set():
+                        return
+                    batch = range(start, min(start + size, config.replicates))
+                    products = _draw_stage(spec, prefix, batch, sets[i % len(sets)])
+                    if helper is None:
+                        reduce(batch, products)
+                        continue
+                    if pending is not None:
+                        pending.result()  # batch i - 1 is reduced, so its array is free for batch i + 1
+                    pending = helper.submit(reduce, batch, products)
         except BaseException as exc:
             failed.set()
             errors.append(exc)

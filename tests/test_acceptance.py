@@ -7,6 +7,7 @@ criteria run at fixed seeds whose margins were measured once and frozen
 time, so failures indicate code changes, not run-to-run noise).
 """
 
+import functools
 import math
 import os
 import subprocess
@@ -14,6 +15,7 @@ import sys
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from ginprod import montecarlo
 from ginprod.beta_poly import beta_bounds_check, compute_beta
@@ -204,23 +206,37 @@ for n in (128, 256, 384):
 """
 
 
+@functools.cache
+def _blas_case_in_children() -> dict:
+    """The digest of ``_BLAS_CASE`` in child interpreters at one and at two BLAS threads,
+    each at its host's core count; made once, for every core count the test patches in."""
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    digests = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        child = subprocess.run([sys.executable, "-c", _BLAS_CASE + "print(digest.hexdigest())"],
+                               env=env, capture_output=True, text=True, check=True)
+        digests[threads] = child.stdout.strip()
+    return digests
+
+
 def _batch_sizes(spec, config):
-    batches, _ = montecarlo._batches(spec, config)
-    return [len(batch) for batch in batches]
+    size, count, _ = montecarlo._batches(spec, config)
+    return [min(size, config.replicates - start) for start in range(0, size * count, size)]
 
 
-def test_criterion_11_bitwise_reproducibility(monkeypatch):
+@pytest.mark.parametrize("cores", [1, 2, 16])
+def test_criterion_11_bitwise_reproducibility(monkeypatch, cores):
+    # At one usable core no worker gets a helper thread; at two a one-worker
+    # run reduces on one; at 16 every worker of a run with batches to spare does.
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
     failures = []
     # The same bits in child interpreters started at one and at two BLAS threads.
     namespace: dict = {}
     exec(_BLAS_CASE, namespace)
     want = namespace["digest"].hexdigest()
-    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
-        child = subprocess.run([sys.executable, "-c", _BLAS_CASE + "print(digest.hexdigest())"],
-                               env=env, capture_output=True, text=True, check=True)
-        if child.stdout.strip() != want:
+    for threads, digest in _blas_case_in_children().items():
+        if digest != want:
             failures.append(("OPENBLAS_NUM_THREADS", threads))
     # Batch size of every run, by worker count, at each byte budget: one
     # replicate's share, five replicates' (64 leaves a ragged last batch) and
@@ -258,5 +274,5 @@ def test_criterion_11_bitwise_reproducibility(monkeypatch):
             failures.append(("batch sizes", 1, 200, "complex", w))
         if not np.array_equal(reference, collect_spectra(spec, config)):
             failures.append((1, 200, "complex", w))
-    _finish("bit-identical results at 1, 2 and 8 workers, batches set by bytes and by the GIL floor, "
-            "and 1 and 2 BLAS threads", failures)
+    _finish(f"bit-identical results at 1, 2 and 8 workers on {cores} usable cores, batches set by bytes "
+            "and by the GIL floor, and 1 and 2 BLAS threads", failures)

@@ -262,12 +262,15 @@ class TestSimulateCommand:
         assert doc["edge"]["q05"] <= doc["edge"]["q50"] <= doc["edge"]["q95"]
         assert [entry["k"] for entry in doc["moments"]] == [1, 2]
 
-    def test_worker_flag_does_not_change_output(self, capsys, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("cores", [1, 2, 16])
+    def test_worker_flag_does_not_change_output(self, capsys, monkeypatch, tmp_path, cores):
         # stdout and every written file are the same bytes at 1, 2 and 8 workers,
         # but for the invocation, which names --workers and the run's directory.
         # 23 replicates leave a short last batch at every worker count. The
         # simulate runs hold their draws, then stream them (a budget below one
-        # replicate's), and converge holds them.
+        # replicate's), and converge holds them. With a core to spare, the
+        # streamed one-worker run reduces its 23 batches on a helper thread.
+        monkeypatch.setattr(ginprod.montecarlo, "_usable_cores", lambda: cores)
         def written(*argv, files=()):
             outputs = {}
             for workers in ("1", "2", "8"):
@@ -289,11 +292,11 @@ class TestSimulateCommand:
         assert len(held) == 1 + 1 + 23
         assert "moments" not in json.loads(held[0])  # without --kmax the summary is the edge alone
         spec = ginprod.montecarlo.GinibreSpec(n=6, m=2, field="complex")
-        monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", ginprod.montecarlo._draw_bytes(spec) - 1)
-        assert ginprod.montecarlo._batches(spec, ginprod.montecarlo.RunConfig(23, 11, 1))[1]  # streams
-        streamed = written(*sim, "--field", "complex", "--kmax", "3", files=("reps.csv", "spectra"))
+        with monkeypatch.context() as patch:
+            patch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", ginprod.montecarlo._draw_bytes(spec) - 1)
+            assert ginprod.montecarlo._batches(spec, ginprod.montecarlo.RunConfig(23, 11, 1)) == (1, 23, True)
+            streamed = written(*sim, "--field", "complex", "--kmax", "3", files=("reps.csv", "spectra"))
         assert len(streamed) == 1 + 1 + 23 and len(json.loads(streamed[0])["moments"]) == 3
-        monkeypatch.undo()
         written("converge", "--m", "2", "--n-grid", "4,8", "--field", "complex", "--replicates", "23", "--seed", "3")
 
     @pytest.mark.parametrize("cgroup, limit, lowered", [
@@ -354,24 +357,36 @@ class TestSimulateCommand:
         code, _, err = run_cli(capsys, *base, "64")  # a table that fits passes the check, to sampling
         assert (code, err) == (4, "ginprod: internal error: AssertionError: sampled before the moment table was checked\n")
 
-    @pytest.mark.parametrize("argv, need", [
+    @pytest.mark.parametrize("argv, cores, need", [
         # Held, one worker, one batch of 23: the (23, 6) result, then draws,
         # product, spare and factor, m + 3 = 5 arrays of 6 x 6 a replicate.
-        (("simulate", "--m", "2", "--n", "6", "--replicates", "23", "--workers", "1"), 23 * 6 * 8 + 23 * 5 * 36 * 8),
+        (("simulate", "--m", "2", "--n", "6", "--replicates", "23", "--workers", "1"), 2,
+         23 * 6 * 8 + 23 * 5 * 36 * 8),
         # Streamed complex m = 2 at n = 200: eight workers, each with a product
         # array for its floor batch of three and a spare and a factor of one.
-        (("simulate", "--m", "2", "--n", "200", "--field", "complex", "--replicates", "25", "--workers", "8"),
+        (("simulate", "--m", "2", "--n", "200", "--field", "complex", "--replicates", "25", "--workers", "8"), 2,
          25 * 200 * 8 + 8 * 5 * 200**2 * 16),
+        # At 16 cores worker 0, the one with a second batch, gets a helper and
+        # a second product array of three.
+        (("simulate", "--m", "2", "--n", "200", "--field", "complex", "--replicates", "25", "--workers", "8"), 16,
+         25 * 200 * 8 + 8 * 5 * 200**2 * 16 + 3 * 200**2 * 16),
+        # Streamed at one worker, 25 batches of one: a product, a spare and a
+        # factor, and at two cores the helper's second product array.
+        (("simulate", "--m", "2", "--n", "200", "--field", "complex", "--replicates", "25", "--workers", "1"), 1,
+         25 * 200 * 8 + 3 * 200**2 * 16),
+        (("simulate", "--m", "2", "--n", "200", "--field", "complex", "--replicates", "25", "--workers", "1"), 2,
+         25 * 200 * 8 + 4 * 200**2 * 16),
         # The grid's largest point: held real m = 1 at n = 8, draws and product.
-        (("converge", "--m", "1", "--n-grid", "4,8", "--replicates", "10", "--workers", "1"),
+        (("converge", "--m", "1", "--n-grid", "4,8", "--replicates", "10", "--workers", "1"), 2,
          10 * 8 * 8 + 10 * 2 * 64 * 8),
     ])
-    def test_run_past_memory_is_refused_before_sampling(self, capsys, monkeypatch, argv, need):
+    def test_run_past_memory_is_refused_before_sampling(self, capsys, monkeypatch, argv, cores, need):
         # The result array and every worker's buffers must fit the memory the
         # process can have; nothing is drawn before the check.
         def never(*args, **kwargs):
             raise AssertionError("sampled before the run's memory was checked")
 
+        monkeypatch.setattr(ginprod.montecarlo, "_usable_cores", lambda: cores)
         monkeypatch.setattr(ginprod.montecarlo, "collect_spectra", never)
         monkeypatch.setattr(ginprod.cli, "_available_bytes", lambda: need - 1)
         code, out, err = run_cli(capsys, *argv, "--seed", "1")

@@ -200,10 +200,9 @@ def _traced_peak(spec):
 
 def _batch_sizes(spec, replicates, workers):
     """The replicate count of each batch a run samples, in order."""
-    batches, _ = _batches(spec, RunConfig(replicates=replicates, master_seed=SEED, workers=workers))
-    assert [b.start for b in batches] == [0, *(b.stop for b in batches[:-1])]
-    assert batches[-1].stop == replicates
-    return [len(b) for b in batches]
+    size, count, _ = _batches(spec, RunConfig(replicates=replicates, master_seed=SEED, workers=workers))
+    assert (count - 1) * size < replicates <= count * size
+    return [min(size, replicates - start) for start in range(0, count * size, size)]
 
 
 def _split(replicates, size):
@@ -291,22 +290,27 @@ class TestBatchKernel:
             squared = np.linalg.svd(product, compute_uv=False) ** 2
             assert np.array_equal(_spectra(spec, 5)[4], squared)
 
+    @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("scale, message", [(np.nan, "non-finite"), (1.01, "Frobenius")])
-    def test_bad_replicate_is_named(self, monkeypatch, scale, message):
+    def test_bad_replicate_is_named(self, monkeypatch, scale, message, cores):
         # Spoil the second row of the second batch of four, replicate 5: the
         # error must name replicate 5, not the row within its batch. Within
         # the budget one worker takes batches of four; below one replicate's
         # draws two workers stream floor batches capped at their share of 8.
+        # At two usable cores the one worker reduces on a helper thread, which
+        # is gone once the error is raised.
+        monkeypatch.setattr(ginprod.montecarlo, "_usable_cores", lambda: cores)
         spec = GinibreSpec(n=3, m=2, field="complex")
         first_of_second = _reference_product(spec, 4)
         real_svd = np.linalg.svd
-        shapes = []
+        shapes, spoiled_on = [], []
 
         def svd(a, *args, **kwargs):
             singular = real_svd(a, *args, **kwargs)
             shapes.append(a.shape)
             if np.array_equal(a[0], first_of_second):
                 singular[1] *= scale
+                spoiled_on.append(threading.current_thread())
             return singular
 
         monkeypatch.setattr(np.linalg, "svd", svd)
@@ -319,9 +323,14 @@ class TestBatchKernel:
             monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", budget)
             assert _batch_sizes(spec, replicates, workers)[:2] == [4, 4]
             shapes.clear()
+            spoiled_on.clear()
+            threads = set(threading.enumerate())
             with pytest.raises(ArithmeticError, match=f"{message}.*replicate 5"):
                 collect_spectra(spec, RunConfig(replicates=replicates, master_seed=SEED, workers=workers))
             assert ran(shapes), shapes
+            assert set(threading.enumerate()) == threads
+            assert len(spoiled_on) == 1
+            assert (spoiled_on[0] is threading.current_thread()) == (workers == 1 and cores == 1)
 
 
 def _record_stages(monkeypatch):
@@ -345,16 +354,17 @@ def _record_stages(monkeypatch):
 
 class TestScheduling:
     @pytest.mark.parametrize("streamed", [False, True])
-    def test_one_worker_samples_on_the_calling_thread(self, monkeypatch, streamed):
-        # Three batches of one replicate, held or streamed: both stages of each
-        # run on the caller, and no thread is started.
+    def test_one_worker_on_one_core_starts_no_thread(self, monkeypatch, streamed):
+        # Three batches of one replicate, held or streamed: with no core to
+        # spare, both stages of each run on the caller, and no thread is started.
+        monkeypatch.setattr(ginprod.montecarlo, "_usable_cores", lambda: 1)
         spec = GinibreSpec(n=4, m=2, field="complex")
         budget = _streaming_budget(spec) if streamed else _replicate_bytes(spec)
         monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", budget)
         calls = _record_stages(monkeypatch)
 
         def start(thread):
-            raise AssertionError("a one-worker run started a thread")
+            raise AssertionError("a one-worker run on one core started a thread")
 
         monkeypatch.setattr(threading.Thread, "start", start)
         spectra = _spectra(spec, 3, 1)
@@ -362,32 +372,69 @@ class TestScheduling:
         assert [call[:3] for call in calls] == [("draw", caller, 1), ("reduce", caller, 1)] * 3
         assert np.array_equal(spectra, np.vstack([_reference_spectrum(spec, r) for r in range(3)]))
 
-    @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_a_run_draws_all_its_batches_one_way(self, monkeypatch, workers):
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_one_worker_on_two_cores_reduces_on_one_helper(self, monkeypatch, streamed):
+        # The same three batches with a core to spare: the caller draws each,
+        # one helper thread reduces each, and the batches alternate between two
+        # product arrays that share the draws, the spare and the factor.
+        monkeypatch.setattr(ginprod.montecarlo, "_usable_cores", lambda: 2)
+        spec = GinibreSpec(n=4, m=2, field="complex")
+        budget = _streaming_budget(spec) if streamed else _replicate_bytes(spec)
+        monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", budget)
+        threads = set(threading.enumerate())
+        calls = _record_stages(monkeypatch)
+        spectra = _spectra(spec, 3, 1)
+        assert set(threading.enumerate()) == threads  # the helper is joined
+        draws = [call for call in calls if call[0] == "draw"]
+        reduces = [call for call in calls if call[0] == "reduce"]
+        assert [call[1:3] for call in draws] == [(threading.current_thread(), 1)] * 3
+        helper = reduces[0][1]
+        assert helper not in threads and [call[1:3] for call in reduces] == [(helper, 1)] * 3
+        first, second, third = (call[3] for call in draws)
+        assert first[1] is not second[1] and third is first
+        assert second[0] is first[0] and all(a is b for a, b in zip(first[2:], second[2:]))
+        assert all(products.base is buffers[1] for *_, buffers, products in draws)
+        assert np.array_equal(spectra, np.vstack([_reference_spectrum(spec, r) for r in range(3)]))
+
+    # Each worker count with no helper and with helpers: none at W >= cores, worker 0
+    # at one worker on two cores, both at two on 16, and at eight on 16 worker 0 alone.
+    @pytest.mark.parametrize("workers, cores", [(1, 1), (1, 2), (2, 2), (2, 16), (8, 2), (8, 16)])
+    def test_a_run_draws_all_its_batches_one_way(self, monkeypatch, workers, cores):
         # At n = 200 a complex m = 2 replicate is over the budget, so its run
         # streams: 25 batches of one at one worker, else eight floor batches of
         # three and a last one of one, which streams too. Three real m = 1
         # replicates fit the budget, so that run holds batches of three and a
         # last one of one at every worker count. Each worker makes one buffer
         # set, for its first batch, and its short last batch reuses it (worker
-        # 0 at one and at eight workers). Only a held set has draws.
+        # 0 at one and at eight workers). Only a held set has draws. Worker w
+        # of W gets a helper thread and a second product array when w < cores
+        # - W and it has a second batch; it draws on its own thread still.
+        monkeypatch.setattr(ginprod.montecarlo, "_usable_cores", lambda: cores)
         for spec, streamed in ((GinibreSpec(n=200, m=2, field="complex"), True), (GinibreSpec(n=200, m=1), False)):
             want = _spectra(spec, 25)
-            calls = _record_stages(monkeypatch)
-            assert np.array_equal(_spectra(spec, 25, workers), want)
-            monkeypatch.undo()
+            with monkeypatch.context() as patch:
+                calls = _record_stages(patch)
+                assert np.array_equal(_spectra(spec, 25, workers), want)
             draws = [call for call in calls if call[0] == "draw"]
             sizes = sorted(size for _, _, size, _, _ in draws)
             assert sizes == ([1] * 25 if streamed and workers == 1 else [1] + [3] * 8)
             by_thread = {}
             for _, thread, _, buffers, _ in draws:
                 by_thread.setdefault(thread, []).append(buffers)
-            assert len(by_thread) == min(workers, len(draws)) and threading.current_thread() in by_thread
+            run_workers = min(workers, len(draws))
+            assert len(by_thread) == run_workers and threading.current_thread() in by_thread
+            helpers = max(0, min(run_workers, cores - run_workers, len(draws) - run_workers))
+            helped = 0
             for made in by_thread.values():
-                assert all(buffers is made[0] for buffers in made)
-                held_draws, product = made[0][:2]
+                first, *second = {id(buffers): buffers for buffers in made}.values()
+                assert len(second) <= 1 and all(first[k] is s[k] for s in second for k in (0, 2, 3))
+                helped += len(second)
+                held_draws, product = first[:2]
                 assert product.shape == (sizes[-1], 200, 200)
                 assert held_draws is None if streamed else held_draws.shape == (sizes[-1], spec.m, 1, 200, 200)
+            assert helped == helpers
+            reducers = {thread for _, thread, *_ in calls} - by_thread.keys()
+            assert len(reducers) == helpers
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -483,11 +530,16 @@ class TestSeeding:
         monkeypatch.setattr(np.random.bit_generator, "randbits", no_entropy)
         assert np.array_equal(_spectra(spec, 5, workers), want)
 
-    def test_worker_count_never_changes_results(self):
+    @pytest.mark.parametrize("cores", [1, 2, 16])
+    def test_worker_count_never_changes_results(self, monkeypatch, cores):
+        # 1000 replicates make batches of 204 at one and at two workers (five
+        # each: helpers at two cores for one worker, at 16 for both) and of
+        # the share of 125 at eight (no helper).
+        monkeypatch.setattr(ginprod.montecarlo, "_usable_cores", lambda: cores)
         spec = GinibreSpec(n=12, m=2, field="complex")
-        one = collect_spectra(spec, RunConfig(replicates=40, master_seed=SEED, workers=1))
-        eight = collect_spectra(spec, RunConfig(replicates=40, master_seed=SEED, workers=8))
-        assert np.array_equal(one, eight)
+        assert [_batches(spec, RunConfig(1000, SEED, w))[:2] for w in (1, 2, 8)] == [(204, 5), (204, 5), (125, 8)]
+        one, two, eight = (collect_spectra(spec, RunConfig(1000, SEED, w)) for w in (1, 2, 8))
+        assert np.array_equal(one, two) and np.array_equal(one, eight)
 
 
 @pytest.fixture
