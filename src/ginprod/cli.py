@@ -341,13 +341,13 @@ def _refuse_past_memory(specs: list[montecarlo.GinibreSpec], config: montecarlo.
 def _cmd_simulate(args: argparse.Namespace) -> _Result:
     spec = montecarlo.GinibreSpec(n=args.n, m=args.m, field=args.field)
     config = _run_config(args)
-    if args.kmax is not None:  # refuse a bad order before sampling
+    if args.kmax is not None:  # refuse a bad order, or moments past the memory, before sampling
         _natural("k_max", args.kmax, 1)
-        table, available = config.replicates * args.kmax * 8, _available_bytes()
-        if table > available:
-            raise ValueError(f"k_max {args.kmax} needs a {config.replicates} x {args.kmax} moment table of "
-                             f"{table / 2**30:.1f} GiB, more than the {available / 2**30:.1f} GiB "
-                             "this process can have")
+        need, available = montecarlo._moment_bytes(config.replicates, spec.n, args.kmax), _available_bytes()
+        if need > available:
+            raise ValueError(f"k_max {args.kmax} needs a {config.replicates} x {args.kmax} moment table, "
+                             f"{need / 2**30:.1f} GiB with the spectra, more than the "
+                             f"{available / 2**30:.1f} GiB this process can have")
     _refuse_past_memory([spec], config)
     spectra = montecarlo.collect_spectra(spec, config)
     edge = montecarlo.edge_from_values(spectra[:, 0])
@@ -467,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, required=True, help="master seed (unsigned 64-bit)")
     run.add_argument("--workers", type=int, default=None,
                      help=f"worker threads, at most {montecarlo.MAX_WORKERS}; a worker left a spare core "
-                          f"decomposes on a helper thread (default: ${montecarlo.WORKERS_ENV_VAR} or the usable cores)")
+                          "samples on a second thread, the two drawing in turn "
+                          f"(default: ${montecarlo.WORKERS_ENV_VAR} or the usable cores)")
 
     commands = {}
     for name, description, handler, shared in _COMMANDS:

@@ -24,67 +24,64 @@ and in particular independent of how replicates are scheduled across
 workers. Bit-exactness is promised for repeated runs of this package on
 one platform, not across unrelated implementations of the same contract.
 
-Sampling holds the BLAS numpy loaded at one thread (the worker threads
+Sampling holds the BLAS numpy loaded at one thread (the sampling threads
 own the cores), so the bits do not depend on ``OPENBLAS_NUM_THREADS``:
 multithreaded BLAS changes the last bits of large complex products. The
 thread control is looked up on the first sampling run; where none is
 found (:func:`blas_pinned` is False) sampling runs unpinned and the bits
 hold only at one BLAS thread count. Runs with fewer batches than cores
 pay for this, as they lose BLAS's own parallelism; a worker left a spare
-core wins part of it back by decomposing on a helper thread while it
-draws (see Workers below).
+core wins part of it back with a second thread that draws and decomposes
+beside its first (see Workers below).
 
 Replicates are sampled in batches, each in two stages. The draw stage
 (:func:`_draw_stage`) builds the batch's products W_1...W_m, each
 replicate's from its own stream; the reduce stage (:func:`_reduce_stage`)
 decomposes them with one stacked SVD and checks them. Every operation
 acts on each replicate's slice exactly as it would on that replicate
-alone, so neither the batch size, the way a batch is drawn nor the worker
+alone, so neither the batch size, the way a batch is drawn nor the thread
 count changes a bit. The batching, scheduling and memory rules, stated
 here once:
 
+- Threads. A run's thread count is decided first: its W workers, and a
+  helper for each worker w < usable cores - W (:func:`_usable_cores`), so
+  a one-worker run has two threads where a core is free and one where none
+  is. It starts only as many threads as it has batches. The calling thread
+  is thread 0, and thread t belongs to worker t mod W.
 - Budget. A batch holds at most ``BATCH_DRAW_BYTES`` of Gaussian draws
   and seeding (``SEED_BYTES`` a replicate), and at most
-  ceil(replicates / workers) replicates, so every worker gets a share. A
+  ceil(replicates / threads) replicates, so every thread gets a share. A
   replicate over the budget alone is a batch of one. Batches all have one
   size but the last, which is shorter.
-- GIL floor. With more than one worker a batch holds at least
+- GIL floor. With more than one thread a batch holds at least
   ``SVD_GIL_THRESHOLD // n + 1`` replicates, capped at the share:
   numpy's stacked SVD releases the GIL only when stack size x n exceeds
-  ``SVD_GIL_THRESHOLD``, so smaller batches would make the workers take
+  ``SVD_GIL_THRESHOLD``, so smaller batches would make the threads take
   turns at their decompositions. A floor batch may exceed the budget, up
   to about 4 MB x m x parts of draws at n = 500 (parts is 2 for complex
-  entries). One-worker runs keep the budget, and a run of fewer than
+  entries). One-thread runs keep the budget, and a run of fewer than
   twice the floor's replicates gets batches below it.
-- Workers. A run has W = min(workers, batches) workers, and worker w
-  takes batches w, w + W, ... in one loop, deriving each batch's range as
-  it goes. The calling thread is worker 0. A worker keeps both stages on
-  its own thread unless the run leaves it a core: worker w gets a helper
-  thread when w < usable cores - W (:func:`_usable_cores`) and it has more
-  than one batch (:func:`_helpers`). It then draws batch i + 1 while its
-  helper reduces batch i, and waits for that reduce before it hands batch
-  i + 1 over, so a helper holds one batch at a time. A one-worker run
-  starts one helper where a core is free and no thread where none is. A
-  batch of stack size x n at most ``SVD_GIL_THRESHOLD``, as one replicate
-  at n <= 500, decomposes holding the GIL (see the GIL floor), so there
-  the draws overlap it only in part. A stage that raises stops every
-  worker before its next batch, and a worker joins its helper before it
-  returns.
+- Workers. Every thread runs one loop: it takes its worker's draw lock,
+  takes the next batch start from one iterator over the run's batches,
+  draws the batch, releases the lock and reduces what it drew. So at most
+  one draw per worker runs at a time, and a worker's held draws, a Python
+  loop that holds the GIL, never contend, while its other thread
+  decomposes, or draws once its own decomposition is done. A stage that
+  raises stops every thread before its next batch, and the run joins
+  every thread it started before it returns.
 - Held or streamed. A run streams when a full batch's draws exceed the
   budget (a replicate over it alone, or a floor batch); this is decided
   once, where the batches are made, and a short last batch follows it.
-- Buffers. Each worker makes one buffer set before its loop, for its
-  first batch, which is its largest; a short last batch uses its front
-  rows, and the set is dropped when the loop ends. The set
-  (:func:`_buffer_shapes`) is a (b, n, n) product array, a spare product
-  when m > 1 or streamed complex entries need one, a factor when m > 1,
-  and the draws when held. The spare and the factor are b deep when held
-  and one replicate deep when streamed. A worker with a helper makes a
-  second product array, and its batches alternate between the two; the
-  draws, the spare and the factor stay single, as only the worker's own
-  thread uses them. One chain (:func:`_chain`) builds every product:
-  the partial products W_1...W_j alternate between the
-  product array and the spare, starting where the last lands in the
+- Buffers. A run makes one scratch set per worker and one (b, n, n)
+  product array per thread, for a full batch, the largest; a short last
+  batch uses their front rows. The scratch set is the draws when held, a
+  spare product when m > 1 or streamed complex entries need one, and a
+  factor when m > 1 (:func:`_buffer_shapes`); the spare and the factor
+  are b deep when held and one replicate deep when streamed. A worker's
+  threads share its set, as they draw in turn, and each reduces from its
+  own product array while the other draws. One chain (:func:`_chain`)
+  builds every product: the partial products W_1...W_j alternate between
+  the product array and the spare, starting where the last lands in the
   product array, and each factor after W_1 is written into the factor
   buffer before it is multiplied in. A held batch draws all
   its replicates first, one fill each, which is why small replicates keep
@@ -113,7 +110,7 @@ import importlib
 import math
 import os
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -141,8 +138,8 @@ WORKERS_ENV_VAR = "GINPROD_WORKERS"
 
 #: Most workers a run may ask for. :func:`collect_spectra` starts a thread
 #: for each worker but the first, and :func:`_batches` makes about one batch
-#: per worker, so an unbounded count would ask the OS for that many threads.
-#: Helper threads add none past that: they go only to cores the workers leave.
+#: per thread, so an unbounded count would ask the OS for that many threads.
+#: Helper threads add at most as many again: they go only to cores the workers leave.
 MAX_WORKERS = 256
 
 #: Relative tolerance for the sum-of-squares vs Frobenius-norm consistency
@@ -152,6 +149,10 @@ SVD_CONSISTENCY_RTOL = 1e-8
 #: Most bytes of Gaussian draws and seeding a batch holds unless the GIL
 #: floor needs more; a batch over it is streamed (see the module docstring).
 BATCH_DRAW_BYTES = 1 << 20
+
+#: Most bytes of spectrum powers :func:`moments_from_spectra` holds at once, so that it
+#: never copies a whole spectrum array.
+MOMENT_BLOCK_BYTES = 1 << 20
 
 #: numpy's stacked ``np.linalg.svd`` releases the GIL only for a loop of more
 #: than this many elements, stack size times n: ``NPY_BEGIN_THREADS_THRESHOLDED``
@@ -375,8 +376,9 @@ def _draw_factor(spec: GinibreSpec, rng: np.random.Generator, out: np.ndarray, f
 
 
 def _buffer_shapes(spec: GinibreSpec, b: int, streamed: bool) -> tuple:
-    """(shape, dtype), or None where the way uses none, of one worker's buffers for batches
-    of up to b replicates: draws, product, spare and factor (see the module docstring)."""
+    """(shape, dtype), or None where the way uses none, of the buffers a thread draws batches
+    of up to b replicates with: its worker's draws, its own product array, and its worker's
+    spare and factor (see the module docstring)."""
     n, dtype = spec.n, _ENTRY_DTYPES[spec.field]
     draws = None if streamed else ((b, *_draw_shape(spec)), np.float64)
     deep = ((1 if streamed else b, n, n), dtype)
@@ -401,7 +403,7 @@ def _chain(
 
 def _draw_stage(spec: GinibreSpec, prefix: tuple, batch: range, buffers: tuple) -> np.ndarray:
     """The products W_1...W_m of a batch, shape (b, n, n), held or streamed as this
-    worker's ``buffers`` (:func:`_buffer_shapes`) say: a view of their product array.
+    thread's ``buffers`` (:func:`_buffer_shapes`) say: a view of their product array.
 
     Row i is replicate ``batch[i]``, drawn from the stream of
     ``replicate_rng(spec, master_seed, batch[i])`` (``prefix`` is
@@ -453,34 +455,30 @@ def _reduce_stage(spec: GinibreSpec, batch: range, product: np.ndarray) -> np.nd
     return squared
 
 
-def _batches(spec: GinibreSpec, config: RunConfig) -> tuple[int, int, bool]:
+def _batches(spec: GinibreSpec, config: RunConfig) -> tuple[int, int, bool, int]:
     """The size and count of a run's batches under the budget, share and GIL-floor rules of
-    the module docstring, and whether the run streams them. Batch i holds replicates
-    i * size up to (i + 1) * size, or up to the run's end for the last."""
+    the module docstring, whether the run streams them, and how many threads sample them.
+    Batch i holds replicates i * size up to (i + 1) * size, or up to the run's end for the last."""
+    threads = config.workers + max(0, min(config.workers, _usable_cores() - config.workers))
     size = BATCH_DRAW_BYTES // (_draw_bytes(spec) + SEED_BYTES)
-    if config.workers > 1:
+    if threads > 1:
         size = max(size, SVD_GIL_THRESHOLD // spec.n + 1)
-    per_worker = -(-config.replicates // config.workers)
-    size = max(1, min(size, per_worker))
-    return size, -(-config.replicates // size), size * _draw_bytes(spec) > BATCH_DRAW_BYTES
-
-
-def _helpers(workers: int, batches: int) -> int:
-    """How many of a run's ``workers`` (W) get a helper thread for their reduce stages:
-    worker w does when w < usable cores - W and it has more than one batch, w + W < batches."""
-    return max(0, min(workers, _usable_cores() - workers, batches - workers))
+    size = max(1, min(size, -(-config.replicates // threads)))
+    count = -(-config.replicates // size)
+    return size, count, size * _draw_bytes(spec) > BATCH_DRAW_BYTES, min(threads, count)
 
 
 def _run_bytes(spec: GinibreSpec, config: RunConfig) -> int:
-    """Bytes of the arrays a run holds at once: its (replicates, n) result, each of its
-    workers' buffers (:func:`_buffer_shapes`), made for the first batch, the largest, and
-    the second product array of each worker with a helper (:func:`_helpers`).
-    The decomposition's output and workspace, a few arrays of one batch's values, are not counted."""
-    size, count, streamed = _batches(spec, config)
-    workers = min(config.workers, count)
-    shapes = _buffer_shapes(spec, size, streamed)
-    nbytes = [0 if shape is None else math.prod(shape[0]) * np.dtype(shape[1]).itemsize for shape in shapes]
-    return config.replicates * spec.n * 8 + workers * sum(nbytes) + _helpers(workers, count) * nbytes[1]
+    """Bytes of the arrays a run holds at once: its (replicates, n) result, the draws, spare
+    and factor of each of its workers and the product array of each of its threads
+    (:func:`_buffer_shapes`), made for a full batch, the largest. The decomposition's
+    output and workspace, a few arrays of one batch's values, are not counted."""
+    size, _, streamed, threads = _batches(spec, config)
+    draws, product, spare, factor = (
+        0 if shape is None else math.prod(shape[0]) * np.dtype(shape[1]).itemsize
+        for shape in _buffer_shapes(spec, size, streamed)
+    )
+    return config.replicates * spec.n * 8 + min(config.workers, threads) * (draws + spare + factor) + threads * product
 
 
 @functools.cache
@@ -549,65 +547,65 @@ def collect_spectra(spec: GinibreSpec, config: RunConfig) -> np.ndarray:
     Row r holds replicate r's spectrum in descending order, drawn from
     ``replicate_rng(spec, config.master_seed, r)``; column 0 holds the
     largest values s_1^2. Linear-algebra failures and non-finite spectra
-    raise ArithmeticError rather than propagating NaN. Each worker takes
-    its own batches and writes only their rows; the calling thread is the
-    first worker, and a worker the run leaves a core reduces on a helper
-    thread (see the module docstring). BLAS runs at one thread meanwhile
-    (see :func:`blas_pinned`).
+    raise ArithmeticError rather than propagating NaN. Each thread takes
+    the run's next batch under its worker's draw lock, draws it, and
+    reduces it with the lock released; the calling thread is the first,
+    and a worker the run leaves a core has a second (see the module
+    docstring). BLAS runs at one thread meanwhile (see :func:`blas_pinned`).
     """
     spectra = np.empty((config.replicates, spec.n))
     prefix = _seed_prefix(spec, config.master_seed)
-    size, count, streamed = _batches(spec, config)
-    workers = min(config.workers, count)
-    helpers = _helpers(workers, count)
-    if helpers:  # imported here, so that runs with no helper and the exact commands never pay for it
-        from concurrent.futures import ThreadPoolExecutor
-    # A stage that raises sets failed, so the workers stop before their next batch, and keeps its error.
+    size, _, streamed, threads = _batches(spec, config)
+    draws, product, spare, factor = _buffer_shapes(spec, size, streamed)
+    # Each worker's draw lock and the draws, spare and factor its threads draw with in turn.
+    workers = [(threading.Lock(), *(None if shape is None else np.empty(*shape) for shape in (draws, spare, factor)))
+               for _ in range(min(config.workers, threads))]
+    # Every thread takes batch starts from one sequence, handed out under a lock of its own.
+    starts, handing_out = iter(range(0, config.replicates, size)), threading.Lock()
+    # A stage that raises sets failed, so the threads stop before their next batch, and keeps its error.
     failed, errors = threading.Event(), []
 
-    def reduce(batch: range, products: np.ndarray) -> None:
-        if failed.is_set():
-            return
+    def work(t: int) -> None:
+        lock, *scratch = workers[t % len(workers)]
         try:
-            spectra[batch.start : batch.stop] = _reduce_stage(spec, batch, products)
-        except BaseException as exc:
-            failed.set()
-            errors.append(exc)
-
-    def work(w: int) -> None:
-        try:
-            shapes = _buffer_shapes(spec, size, streamed)
-            buffers = tuple(None if shape is None else np.empty(*shape) for shape in shapes)
-            # Leaving the block joins the helper, once it has reduced what it was handed.
-            with ThreadPoolExecutor(1) if w < helpers else nullcontext() as helper:
-                # Batch i is drawn into product array i % 2 while the helper reduces batch i - 1 from the other.
-                sets = [buffers] if helper is None else [buffers, (buffers[0], np.empty_like(buffers[1]), *buffers[2:])]
-                pending = None
-                for i, start in enumerate(range(w * size, config.replicates, workers * size)):
-                    if failed.is_set():
+            buffers = (scratch[0], np.empty(*product), *scratch[1:])
+            while True:
+                with lock:
+                    with handing_out:
+                        start = next(starts, None)
+                    if start is None or failed.is_set():
                         return
                     batch = range(start, min(start + size, config.replicates))
-                    products = _draw_stage(spec, prefix, batch, sets[i % len(sets)])
-                    if helper is None:
-                        reduce(batch, products)
-                        continue
-                    if pending is not None:
-                        pending.result()  # batch i - 1 is reduced, so its array is free for batch i + 1
-                    pending = helper.submit(reduce, batch, products)
+                    products = _draw_stage(spec, prefix, batch, buffers)
+                spectra[batch.start : batch.stop] = _reduce_stage(spec, batch, products)
         except BaseException as exc:
             failed.set()
             errors.append(exc)
 
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    started = [threading.Thread(target=work, args=(t,)) for t in range(1, threads)]
     with _one_blas_thread():
-        for thread in threads:
+        for thread in started:
             thread.start()
         work(0)
-        for thread in threads:
+        for thread in started:
             thread.join()
     if errors:
         raise errors[0]
     return spectra
+
+
+def _moment_rows(n: int) -> int:
+    """Rows of a (replicates, n) spectrum array that :func:`moments_from_spectra` raises to
+    each power at once: ``MOMENT_BLOCK_BYTES`` of them, or one row where a row is more."""
+    return max(1, MOMENT_BLOCK_BYTES // (n * 8))
+
+
+def _moment_bytes(replicates: int, n: int, k_max: int) -> int:
+    """Most bytes held while :func:`moments_from_spectra` runs on a (replicates, n) spectrum
+    array: the spectra, one block of their powers, the (replicates, k_max) per-replicate table,
+    as much again for the deviations the standard errors are taken from, and the buffer of
+    ``np.getbufsize()`` elements numpy's reductions may fill meanwhile."""
+    return 8 * (replicates * n + min(replicates, _moment_rows(n)) * n + 2 * replicates * k_max + np.getbufsize())
 
 
 def moments_from_spectra(spectra: np.ndarray, k_max: int) -> EmpiricalMoments:
@@ -620,14 +618,16 @@ def moments_from_spectra(spectra: np.ndarray, k_max: int) -> EmpiricalMoments:
     _natural("k_max", k_max, 1)
     if spectra.ndim != 2 or spectra.size == 0:
         raise ValueError(f"spectra must be a non-empty 2-D (replicates, n) array, got shape {spectra.shape}")
-    replicates = spectra.shape[0]
+    replicates, rows = spectra.shape[0], _moment_rows(spectra.shape[1])
     per_replicate = np.empty((replicates, k_max))
-    powers = spectra.copy()
     # Overflow shows as a non-finite moment, checked below, not as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(k_max):
-            per_replicate[:, k] = powers.mean(axis=1)
-            powers *= spectra
+        for start in range(0, replicates, rows):  # each row's powers and means, a block of rows at a time
+            block = spectra[start : start + rows]
+            powers = block.copy()
+            for k in range(k_max):
+                per_replicate[start : start + rows, k] = powers.mean(axis=1)
+                powers *= block
         means = per_replicate.mean(axis=0)
         ses = per_replicate.std(axis=0, ddof=1) / np.sqrt(replicates) if replicates > 1 else np.zeros(k_max)
     nonfinite = ~(np.isfinite(means) & np.isfinite(ses))

@@ -221,14 +221,16 @@ def _blas_case_in_children() -> dict:
 
 
 def _batch_sizes(spec, config):
-    size, count, _ = montecarlo._batches(spec, config)
+    size, count, *_ = montecarlo._batches(spec, config)
     return [min(size, config.replicates - start) for start in range(0, size * count, size)]
 
 
 @pytest.mark.parametrize("cores", [1, 2, 16])
 def test_criterion_11_bitwise_reproducibility(monkeypatch, cores):
     # At one usable core no worker gets a helper thread; at two a one-worker
-    # run reduces on one; at 16 every worker of a run with batches to spare does.
+    # run has one; at 16 every worker of a run with batches to spare does.
+    # The run's thread count, by worker count:
+    run_threads = {1: {1: 1, 2: 2, 8: 8}, 2: {1: 2, 2: 2, 8: 8}, 16: {1: 2, 2: 4, 8: 16}}[cores]
     monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
     failures = []
     # The same bits in child interpreters started at one and at two BLAS threads.
@@ -238,37 +240,39 @@ def test_criterion_11_bitwise_reproducibility(monkeypatch, cores):
     for threads, digest in _blas_case_in_children().items():
         if digest != want:
             failures.append(("OPENBLAS_NUM_THREADS", threads))
-    # Batch size of every run, by worker count, at each byte budget: one
-    # replicate's share, five replicates' (64 leaves a ragged last batch) and
-    # the default. One worker follows the budget. More workers hold at least
-    # 500 // n + 1 replicates (16 at n = 32, 32 at n = 16), so numpy's stacked
-    # SVD releases the GIL, capped at the per-worker share (32 at two
-    # workers, 8 at eight).
+    # Batch size of every run, by thread count, at each byte budget: one
+    # replicate's share, five replicates', twenty (64 leaves a ragged last
+    # batch at both) and the default. One thread follows the budget. More
+    # threads hold at least 500 // n + 1 replicates (16 at n = 32, 32 at
+    # n = 16), so numpy's stacked SVD releases the GIL, and follow a budget
+    # above that, capped at the per-thread share (32 at two threads, 4 at 16).
     sizes = {
-        (1, 32, "real"): {1: (1, 5, 64), 2: (16, 16, 32), 8: (8, 8, 8)},
-        (2, 16, "complex"): {1: (1, 5, 64), 2: (32, 32, 32), 8: (8, 8, 8)},
+        (1, 32, "real"): {1: (1, 5, 20, 64), 2: (16, 16, 20, 32), 4: (16,) * 4, 8: (8,) * 4, 16: (4,) * 4},
+        (2, 16, "complex"): {1: (1, 5, 20, 64), 2: (32,) * 4, 4: (16,) * 4, 8: (8,) * 4, 16: (4,) * 4},
     }
-    for (m, n, field), by_workers in sizes.items():
+    for (m, n, field), by_threads in sizes.items():
         spec = GinibreSpec(n=n, m=m, field=field)
         # One replicate's share of the batch budget: its draws and its seeding.
         replicate_bytes = m * (1 if field == "real" else 2) * n * n * 8 + montecarlo.SEED_BYTES
         reference = collect_spectra(spec, RunConfig(replicates=64, master_seed=SEED, workers=1))
-        budgets = (replicate_bytes, 5 * replicate_bytes, montecarlo.BATCH_DRAW_BYTES)
+        budgets = (replicate_bytes, 5 * replicate_bytes, 20 * replicate_bytes, montecarlo.BATCH_DRAW_BYTES)
         for i, batch_bytes in enumerate(budgets):
             monkeypatch.setattr(montecarlo, "BATCH_DRAW_BYTES", batch_bytes)
             for w in (1, 2, 8):
                 config = RunConfig(replicates=64, master_seed=SEED, workers=w)
-                size = by_workers[w][i]
+                size = by_threads[run_threads[w]][i]
                 if _batch_sizes(spec, config) != [size] * (64 // size) + ([64 % size] if 64 % size else []):
                     failures.append(("batch sizes", m, n, field, w, batch_bytes))
                 if not np.array_equal(reference, collect_spectra(spec, config)):
                     failures.append((m, n, field, w, batch_bytes))
-    # A replicate over the byte budget: one per batch at one worker, and at two
-    # and eight workers the floor of 500 // 200 + 1 = 3 (eight batches and one
-    # of one; the share at eight workers is four).
+    # A replicate over the byte budget: one per batch on one thread, and on
+    # more the floor of 500 // 200 + 1 = 3 (eight batches and one of one),
+    # capped at 16 threads by the share of two (12 batches and one of one).
     spec = GinibreSpec(n=200, m=1, field="complex")
     reference = collect_spectra(spec, RunConfig(replicates=25, master_seed=SEED, workers=1))
-    for w, want in ((1, [1] * 25), (2, [3] * 8 + [1]), (8, [3] * 8 + [1])):
+    by_threads = {1: [1] * 25, 16: [2] * 12 + [1]}
+    for w in (1, 2, 8):
+        want = by_threads.get(run_threads[w], [3] * 8 + [1])
         config = RunConfig(replicates=25, master_seed=SEED, workers=w)
         if _batch_sizes(spec, config) != want:
             failures.append(("batch sizes", 1, 200, "complex", w))

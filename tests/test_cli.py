@@ -269,7 +269,8 @@ class TestSimulateCommand:
         # 23 replicates leave a short last batch at every worker count. The
         # simulate runs hold their draws, then stream them (a budget below one
         # replicate's), and converge holds them. With a core to spare, the
-        # streamed one-worker run reduces its 23 batches on a helper thread.
+        # streamed one-worker run has two threads, which take floor batches
+        # capped at their share of 12.
         monkeypatch.setattr(ginprod.montecarlo, "_usable_cores", lambda: cores)
         def written(*argv, files=()):
             outputs = {}
@@ -294,7 +295,8 @@ class TestSimulateCommand:
         spec = ginprod.montecarlo.GinibreSpec(n=6, m=2, field="complex")
         with monkeypatch.context() as patch:
             patch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", ginprod.montecarlo._draw_bytes(spec) - 1)
-            assert ginprod.montecarlo._batches(spec, ginprod.montecarlo.RunConfig(23, 11, 1)) == (1, 23, True)
+            want = (1, 23, True, 1) if cores == 1 else (12, 2, True, 2)
+            assert ginprod.montecarlo._batches(spec, ginprod.montecarlo.RunConfig(23, 11, 1)) == want
             streamed = written(*sim, "--field", "complex", "--kmax", "3", files=("reps.csv", "spectra"))
         assert len(streamed) == 1 + 1 + 23 and len(json.loads(streamed[0])["moments"]) == 3
         written("converge", "--m", "2", "--n-grid", "4,8", "--field", "complex", "--replicates", "23", "--seed", "3")
@@ -340,8 +342,10 @@ class TestSimulateCommand:
         assert ginprod.cli._available_bytes() == (min(physical, 1048576) if lowered else physical)
 
     def test_moment_table_past_memory_is_refused_before_sampling(self, capsys, monkeypatch):
-        # The (replicates, k_max) float64 table of the moments must fit the memory the
-        # process can have; nothing is drawn before the check.
+        # The (replicates, n) spectra, a block of their powers, the (replicates, k_max)
+        # float64 table of the moments, the deviations its standard errors are taken from
+        # and numpy's reduction buffer must fit the memory the process can have; nothing
+        # is drawn before the check.
         def never(*args, **kwargs):
             raise AssertionError("sampled before the moment table was checked")
 
@@ -349,36 +353,70 @@ class TestSimulateCommand:
         base = ("simulate", "--m", "1", "--n", "2", "--replicates", "2", "--seed", "1", "--kmax")
         code, out, err = run_cli(capsys, *base, "1000000000000")
         assert (code, out) == (2, "")
-        assert re.fullmatch(r"ginprod: error: k_max 1000000000000 needs a 2 x 1000000000000 moment table of "
-                            r"14901\.2 GiB, more than the [0-9.]+ GiB this process can have\n", err)
-        monkeypatch.setattr(ginprod.cli, "_available_bytes", lambda: 2 * 64 * 8)
+        assert re.fullmatch(r"ginprod: error: k_max 1000000000000 needs a 2 x 1000000000000 moment table, "
+                            r"29802\.3 GiB with the spectra, more than the [0-9.]+ GiB this process can have\n", err)
+        monkeypatch.setattr(ginprod.cli, "_available_bytes", lambda: 8 * (2 * 2 + 2 * 2 + 2 * 2 * 64 + np.getbufsize()))
         code, out, err = run_cli(capsys, *base, "65")
         assert (code, out, err.count("\n")) == (2, "", 1)
         code, _, err = run_cli(capsys, *base, "64")  # a table that fits passes the check, to sampling
         assert (code, err) == (4, "ginprod: internal error: AssertionError: sampled before the moment table was checked\n")
 
+    def test_moments_past_memory_are_refused_even_where_sampling_fits(self, capsys, monkeypatch):
+        # 10 real m = 1 replicates at n = 64 on one core sample in one held batch:
+        # the (10, 64) result, the draws and the product. With k_max = 10000 the
+        # moments need more: the spectra, one block of powers, all ten rows, the
+        # (10, 10000) table twice and numpy's reduction buffer. At one byte below
+        # that the run is refused before any draw, though its sampling would fit;
+        # at that many bytes it passes.
+        def never(*args, **kwargs):
+            raise AssertionError("sampled before the moments' memory was checked")
+
+        monkeypatch.setattr(ginprod.montecarlo, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(ginprod.montecarlo, "collect_spectra", never)
+        argv = ("simulate", "--m", "1", "--n", "64", "--replicates", "10", "--seed", "1", "--workers", "1",
+                "--kmax", "10000")
+        sampling = 10 * 64 * 8 + 2 * 10 * 64 * 64 * 8
+        need = 8 * (10 * 64 + 10 * 64 + 2 * 10 * 10000 + np.getbufsize())
+        assert sampling < need - 1
+        monkeypatch.setattr(ginprod.cli, "_available_bytes", lambda: need - 1)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("ginprod: error: k_max 10000 needs a 10 x 10000 moment table, ")
+        monkeypatch.setattr(ginprod.cli, "_available_bytes", lambda: need)
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (4, "ginprod: internal error: AssertionError: "
+                                  "sampled before the moments' memory was checked\n")
+
     @pytest.mark.parametrize("argv, cores, need", [
-        # Held, one worker, one batch of 23: the (23, 6) result, then draws,
-        # product, spare and factor, m + 3 = 5 arrays of 6 x 6 a replicate.
-        (("simulate", "--m", "2", "--n", "6", "--replicates", "23", "--workers", "1"), 2,
+        # Held, one worker on one core, one batch of 23: the (23, 6) result, then
+        # draws, product, spare and factor, m + 3 = 5 arrays of 6 x 6 a replicate.
+        (("simulate", "--m", "2", "--n", "6", "--replicates", "23", "--workers", "1"), 1,
          23 * 6 * 8 + 23 * 5 * 36 * 8),
+        # On two cores its two threads take floor batches capped at their share
+        # of 12: the worker's draws, spare and factor and each thread's product,
+        # m + 4 = 6 arrays a replicate of a batch.
+        (("simulate", "--m", "2", "--n", "6", "--replicates", "23", "--workers", "1"), 2,
+         23 * 6 * 8 + 12 * 6 * 36 * 8),
         # Streamed complex m = 2 at n = 200: eight workers, each with a product
         # array for its floor batch of three and a spare and a factor of one.
         (("simulate", "--m", "2", "--n", "200", "--field", "complex", "--replicates", "25", "--workers", "8"), 2,
          25 * 200 * 8 + 8 * 5 * 200**2 * 16),
-        # At 16 cores worker 0, the one with a second batch, gets a helper and
-        # a second product array of three.
+        # At 16 cores every worker has a helper: 16 threads cap a batch at the
+        # share of two, and the 13 batches start 13 threads, five of them
+        # helpers. Eight spares and factors of one, 13 product arrays of two.
         (("simulate", "--m", "2", "--n", "200", "--field", "complex", "--replicates", "25", "--workers", "8"), 16,
-         25 * 200 * 8 + 8 * 5 * 200**2 * 16 + 3 * 200**2 * 16),
-        # Streamed at one worker, 25 batches of one: a product, a spare and a
-        # factor, and at two cores the helper's second product array.
+         25 * 200 * 8 + (8 * 2 + 13 * 2) * 200**2 * 16),
+        # Streamed at one worker on one core, 25 batches of one: a product, a
+        # spare and a factor. On two cores its two threads take floor batches
+        # of three: a spare and a factor of one and two product arrays of three.
         (("simulate", "--m", "2", "--n", "200", "--field", "complex", "--replicates", "25", "--workers", "1"), 1,
          25 * 200 * 8 + 3 * 200**2 * 16),
         (("simulate", "--m", "2", "--n", "200", "--field", "complex", "--replicates", "25", "--workers", "1"), 2,
-         25 * 200 * 8 + 4 * 200**2 * 16),
-        # The grid's largest point: held real m = 1 at n = 8, draws and product.
+         25 * 200 * 8 + (2 + 2 * 3) * 200**2 * 16),
+        # The grid's largest point: held real m = 1 at n = 8, on two threads in
+        # floor batches capped at the share of five: the draws and two products.
         (("converge", "--m", "1", "--n-grid", "4,8", "--replicates", "10", "--workers", "1"), 2,
-         10 * 8 * 8 + 10 * 2 * 64 * 8),
+         10 * 8 * 8 + 5 * 3 * 64 * 8),
     ])
     def test_run_past_memory_is_refused_before_sampling(self, capsys, monkeypatch, argv, cores, need):
         # The result array and every worker's buffers must fit the memory the

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -27,7 +28,9 @@ from ginprod.montecarlo import (
     WORKERS_ENV_VAR,
     _batches,
     _blas_threads,
+    _moment_bytes,
     _replicate_states,
+    _run_bytes,
     _seed_prefix,
     blas_pinned,
     collect_spectra,
@@ -198,9 +201,14 @@ def _traced_peak(spec):
     return peak / (spec.n**2 * (8 if spec.field == "real" else 16))
 
 
+def _cores(monkeypatch, cores):
+    """Make the sampler see ``cores`` usable cores, which set a run's thread count and so its batches."""
+    monkeypatch.setattr(ginprod.montecarlo, "_usable_cores", lambda: cores)
+
+
 def _batch_sizes(spec, replicates, workers):
     """The replicate count of each batch a run samples, in order."""
-    size, count, _ = _batches(spec, RunConfig(replicates=replicates, master_seed=SEED, workers=workers))
+    size, count, *_ = _batches(spec, RunConfig(replicates=replicates, master_seed=SEED, workers=workers))
     assert (count - 1) * size < replicates <= count * size
     return [min(size, replicates - start) for start in range(0, count * size, size)]
 
@@ -219,24 +227,31 @@ class TestBatchSizing:
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("workers", [2, 8])
     @pytest.mark.parametrize("n", [5, 125, 126, 250, 251, 384, 500, 501])
-    def test_parallel_batches_are_above_the_svd_gil_threshold(self, field, workers, n):
+    def test_parallel_batches_are_above_the_svd_gil_threshold(self, monkeypatch, field, workers, n):
         # numpy's stacked SVD releases the GIL only when stack size x n > 500
         # (NPY_BEGIN_THREADS_THRESHOLDED). Every batch but the last is above
-        # that wherever the per-worker share allows it, and its draws stay
+        # that wherever the per-thread share allows it, and its draws stay
         # within the byte budget or about 4 MB per n x n block (n = 500, floor 2).
+        # A run's threads are its workers, and a helper for each of them a
+        # spare core is left to: one worker on two cores has two threads, and
+        # two workers on 16 have four.
         spec = GinibreSpec(n=n, m=1, field=field)
         parts = 1 if field == "real" else 2
-        for replicates in _RUN_SIZES:
-            sizes = _batch_sizes(spec, replicates, workers)
-            share = -(-replicates // workers)
-            assert max(sizes) <= share
-            for size in sizes[:-1]:
-                assert size * n > 500 or size == share, (replicates, sizes)
-            assert sizes[0] * n * n * 8 * parts <= max(ginprod.montecarlo.BATCH_DRAW_BYTES, 4_000_000 * parts)
+        for run_workers, cores, threads in ((workers, 1, workers), (1, 2, 2), (workers, 16, min(2 * workers, 16))):
+            _cores(monkeypatch, cores)
+            for replicates in _RUN_SIZES:
+                sizes = _batch_sizes(spec, replicates, run_workers)
+                share = -(-replicates // threads)
+                assert max(sizes) <= share
+                for size in sizes[:-1]:
+                    assert size * n > 500 or size == share, (replicates, sizes)
+                assert sizes[0] * n * n * 8 * parts <= max(ginprod.montecarlo.BATCH_DRAW_BYTES, 4_000_000 * parts)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("n", [5, 125, 126, 250, 251, 384, 500, 501])
-    def test_one_worker_keeps_byte_bounded_batches(self, field, n):
+    def test_one_worker_keeps_byte_bounded_batches(self, monkeypatch, field, n):
+        # One worker on one core runs one thread, and its batches follow the budget alone.
+        _cores(monkeypatch, 1)
         spec = GinibreSpec(n=n, m=2, field=field)
         budget = max(1, ginprod.montecarlo.BATCH_DRAW_BYTES // _replicate_bytes(spec))
         for replicates in _RUN_SIZES:
@@ -248,17 +263,21 @@ class TestBatchKernel:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_batches_match_single_replicates(self, monkeypatch, field, m, workers):
-        # Three replicates per batch by bytes at one worker, or one when the
-        # budget is below one replicate's draws and every batch streams. More
-        # workers raise a batch to the floor of 500 // 5 + 1 = 101 replicates,
-        # capped at the per-worker share: six at two workers, two at eight.
-        # 11 replicates leave a ragged last batch at every floor.
+        # Three replicates per batch by bytes at one worker on one core, or one
+        # when the budget is below one replicate's draws and every batch
+        # streams. More threads raise a batch to the floor of 500 // 5 + 1 = 101
+        # replicates, capped at the per-thread share: six at two threads (two
+        # workers, or one worker on two cores), two at eight. 11 replicates
+        # leave a ragged last batch at every floor.
         spec = GinibreSpec(n=5, m=m, field=field)
         rows = np.vstack([_reference_spectrum(spec, r) for r in range(11)])
-        for budget, by_bytes in ((3 * _replicate_bytes(spec), [3, 3, 3, 2]), (_streaming_budget(spec), [1] * 11)):
-            monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", budget)
-            assert _batch_sizes(spec, 11, workers) == {1: by_bytes, 2: [6, 5], 8: [2, 2, 2, 2, 2, 1]}[workers]
-            assert np.array_equal(_spectra(spec, 11, workers), rows)
+        for cores in (1, 2):
+            _cores(monkeypatch, cores)
+            for budget, by_bytes in ((3 * _replicate_bytes(spec), [3, 3, 3, 2]), (_streaming_budget(spec), [1] * 11)):
+                monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", budget)
+                one = by_bytes if cores == 1 else [6, 5]
+                assert _batch_sizes(spec, 11, workers) == {1: one, 2: [6, 5], 8: [2, 2, 2, 2, 2, 1]}[workers]
+                assert np.array_equal(_spectra(spec, 11, workers), rows)
 
     @pytest.mark.parametrize(
         "field, m, limit", [("real", 3, 3.5), ("complex", 2, 3.5), ("real", 1, 2.03), ("complex", 1, 2.14)]
@@ -293,63 +312,94 @@ class TestBatchKernel:
     @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("scale, message", [(np.nan, "non-finite"), (1.01, "Frobenius")])
     def test_bad_replicate_is_named(self, monkeypatch, scale, message, cores):
-        # Spoil the second row of the second batch of four, replicate 5: the
-        # error must name replicate 5, not the row within its batch. Within
-        # the budget one worker takes batches of four; below one replicate's
-        # draws two workers stream floor batches capped at their share of 8.
-        # At two usable cores the one worker reduces on a helper thread, which
-        # is gone once the error is raised.
-        monkeypatch.setattr(ginprod.montecarlo, "_usable_cores", lambda: cores)
+        # Spoil replicate 5, a row inside its batch but not the first: the error
+        # must name replicate 5, not the row within its batch. Within the budget,
+        # 12 replicates at one worker on one core make batches of four (replicate
+        # 5 is the second row of the second); on two cores its two threads take
+        # floor batches capped at their share of six (the last row of the
+        # first). Below one replicate's draws, 8 replicates at two workers make
+        # streamed floor batches capped at the share of four (the second row of
+        # the second). Every thread is gone once the error is raised.
+        _cores(monkeypatch, cores)
         spec = GinibreSpec(n=3, m=2, field="complex")
-        first_of_second = _reference_product(spec, 4)
+        spoiled = _reference_product(spec, 5)
         real_svd = np.linalg.svd
         shapes, spoiled_on = [], []
 
         def svd(a, *args, **kwargs):
             singular = real_svd(a, *args, **kwargs)
             shapes.append(a.shape)
-            if np.array_equal(a[0], first_of_second):
-                singular[1] *= scale
-                spoiled_on.append(threading.current_thread())
+            for i in range(len(a)):
+                if np.array_equal(a[i], spoiled):
+                    singular[i, 1] *= scale
+                    spoiled_on.append(threading.current_thread())
             return singular
 
         monkeypatch.setattr(np.linalg, "svd", svd)
-        # One worker decomposes the first two batches in order and skips the
-        # rest; two workers may each have started their batch.
-        for budget, replicates, workers, ran in (
-            (4 * _replicate_bytes(spec), 10, 1, lambda shapes: shapes == [(4, 3, 3), (4, 3, 3)]),
-            (_streaming_budget(spec), 8, 2, lambda shapes: set(shapes) == {(4, 3, 3)} and len(shapes) <= 2),
+        # One thread decomposes the first two batches in order and skips the
+        # rest; two threads may each have started their batch.
+        one_thread = cores == 1
+        for budget, replicates, workers, sizes in (
+            (4 * _replicate_bytes(spec), 12, 1, [4, 4, 4] if one_thread else [6, 6]),
+            (_streaming_budget(spec), 8, 2, [4, 4]),
         ):
             monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", budget)
-            assert _batch_sizes(spec, replicates, workers)[:2] == [4, 4]
+            assert _batch_sizes(spec, replicates, workers) == sizes
             shapes.clear()
             spoiled_on.clear()
             threads = set(threading.enumerate())
             with pytest.raises(ArithmeticError, match=f"{message}.*replicate 5"):
                 collect_spectra(spec, RunConfig(replicates=replicates, master_seed=SEED, workers=workers))
-            assert ran(shapes), shapes
             assert set(threading.enumerate()) == threads
             assert len(spoiled_on) == 1
-            assert (spoiled_on[0] is threading.current_thread()) == (workers == 1 and cores == 1)
+            if workers == 1 and one_thread:
+                assert shapes == [(4, 3, 3), (4, 3, 3)] and spoiled_on[0] is threading.current_thread()
+            else:
+                assert set(shapes) == {(sizes[0], 3, 3)} and len(shapes) <= 2, shapes
 
 
 def _record_stages(monkeypatch):
-    """Patch both stages to record (stage, thread, batch length, buffers, result) per call; return the records."""
+    """Patch both stages to record, per call, (stage, thread, batch, buffers, products, enter, exit):
+    the buffers a draw was given (None for a reduce) and the products it returned or a reduce was handed."""
     calls = []
     draw, reduce = ginprod.montecarlo._draw_stage, ginprod.montecarlo._reduce_stage
 
     def draw_stage(spec, prefix, batch, buffers):
+        enter = time.perf_counter()
         products = draw(spec, prefix, batch, buffers)
-        calls.append(("draw", threading.current_thread(), len(batch), buffers, products))
+        calls.append(("draw", threading.current_thread(), batch, buffers, products, enter, time.perf_counter()))
         return products
 
     def reduce_stage(spec, batch, products):
-        calls.append(("reduce", threading.current_thread(), len(batch), None, None))
-        return reduce(spec, batch, products)
+        enter = time.perf_counter()
+        squared = reduce(spec, batch, products)
+        calls.append(("reduce", threading.current_thread(), batch, None, products, enter, time.perf_counter()))
+        return squared
 
     monkeypatch.setattr(ginprod.montecarlo, "_draw_stage", draw_stage)
     monkeypatch.setattr(ginprod.montecarlo, "_reduce_stage", reduce_stage)
     return calls
+
+
+def _record_starts(monkeypatch):
+    """Patch ``threading.Thread.start`` to record every thread started; return the records."""
+    started, start = [], threading.Thread.start
+
+    def record(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    return started
+
+
+def _by_thread(calls, stage):
+    """The ``stage`` calls of each thread, keyed by thread."""
+    by_thread = {}
+    for call in calls:
+        if call[0] == stage:
+            by_thread.setdefault(call[1], []).append(call)
+    return by_thread
 
 
 class TestScheduling:
@@ -357,7 +407,7 @@ class TestScheduling:
     def test_one_worker_on_one_core_starts_no_thread(self, monkeypatch, streamed):
         # Three batches of one replicate, held or streamed: with no core to
         # spare, both stages of each run on the caller, and no thread is started.
-        monkeypatch.setattr(ginprod.montecarlo, "_usable_cores", lambda: 1)
+        _cores(monkeypatch, 1)
         spec = GinibreSpec(n=4, m=2, field="complex")
         budget = _streaming_budget(spec) if streamed else _replicate_bytes(spec)
         monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", budget)
@@ -369,81 +419,135 @@ class TestScheduling:
         monkeypatch.setattr(threading.Thread, "start", start)
         spectra = _spectra(spec, 3, 1)
         caller = threading.current_thread()
-        assert [call[:3] for call in calls] == [("draw", caller, 1), ("reduce", caller, 1)] * 3
+        assert [(stage, thread, len(batch)) for stage, thread, batch, *_ in calls] == [
+            ("draw", caller, 1), ("reduce", caller, 1)] * 3
         assert np.array_equal(spectra, np.vstack([_reference_spectrum(spec, r) for r in range(3)]))
+
+    def _one_worker_on_two_cores(self, monkeypatch, streamed):
+        """Sample 40 complex m = 2 replicates at n = 50 with one worker on two cores, held
+        or streamed: two threads, so floor batches of 500 // 50 + 1 = 11. Return the
+        recorded stage calls and the threads the run started."""
+        _cores(monkeypatch, 2)
+        spec = GinibreSpec(n=50, m=2, field="complex")
+        budget = _streaming_budget(spec) if streamed else 11 * _replicate_bytes(spec)
+        monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", budget)
+        assert _batches(spec, RunConfig(40, SEED, 1)) == (11, 4, streamed, 2)
+        threads = set(threading.enumerate())
+        calls, started = _record_stages(monkeypatch), _record_starts(monkeypatch)
+        spectra = _spectra(spec, 40, 1)
+        assert set(threading.enumerate()) == threads  # every started thread is joined
+        assert np.array_equal(spectra, np.vstack([_reference_spectrum(spec, r) for r in range(40)]))
+        return calls, started
 
     @pytest.mark.parametrize("streamed", [False, True])
-    def test_one_worker_on_two_cores_reduces_on_one_helper(self, monkeypatch, streamed):
-        # The same three batches with a core to spare: the caller draws each,
-        # one helper thread reduces each, and the batches alternate between two
-        # product arrays that share the draws, the spare and the factor.
-        monkeypatch.setattr(ginprod.montecarlo, "_usable_cores", lambda: 2)
-        spec = GinibreSpec(n=4, m=2, field="complex")
-        budget = _streaming_budget(spec) if streamed else _replicate_bytes(spec)
-        monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", budget)
-        threads = set(threading.enumerate())
-        calls = _record_stages(monkeypatch)
-        spectra = _spectra(spec, 3, 1)
-        assert set(threading.enumerate()) == threads  # the helper is joined
-        draws = [call for call in calls if call[0] == "draw"]
-        reduces = [call for call in calls if call[0] == "reduce"]
-        assert [call[1:3] for call in draws] == [(threading.current_thread(), 1)] * 3
-        helper = reduces[0][1]
-        assert helper not in threads and [call[1:3] for call in reduces] == [(helper, 1)] * 3
-        first, second, third = (call[3] for call in draws)
-        assert first[1] is not second[1] and third is first
-        assert second[0] is first[0] and all(a is b for a, b in zip(first[2:], second[2:]))
-        assert all(products.base is buffers[1] for *_, buffers, products in draws)
-        assert np.array_equal(spectra, np.vstack([_reference_spectrum(spec, r) for r in range(3)]))
+    def test_one_worker_on_two_cores_runs_two_threads(self, monkeypatch, streamed):
+        # The caller and one started thread each take batches from the run's one
+        # sequence: every batch is drawn exactly once, and a thread reduces
+        # exactly the batches it drew, from views of its own product array.
+        calls, started = self._one_worker_on_two_cores(monkeypatch, streamed)
+        assert len(started) == 1
+        draws, reduces = _by_thread(calls, "draw"), _by_thread(calls, "reduce")
+        assert draws.keys() <= {threading.current_thread(), *started} and reduces.keys() <= draws.keys()
+        drawn = sorted((call[2].start, len(call[2])) for made in draws.values() for call in made)
+        assert drawn == [(0, 11), (11, 11), (22, 11), (33, 7)]
+        products = set()
+        for thread, made in draws.items():
+            assert {call[2] for call in made} == {call[2] for call in reduces[thread]}
+            handed = {call[2]: call[4] for call in reduces[thread]}
+            product = made[0][3][1]
+            for _, _, batch, buffers, returned, *_ in made:
+                assert handed[batch] is returned and returned.base is buffers[1] is product
+            products.add(id(product))
+        assert len(products) == len(draws)
 
-    # Each worker count with no helper and with helpers: none at W >= cores, worker 0
-    # at one worker on two cores, both at two on 16, and at eight on 16 worker 0 alone.
-    @pytest.mark.parametrize("workers, cores", [(1, 1), (1, 2), (2, 2), (2, 16), (8, 2), (8, 16)])
-    def test_a_run_draws_all_its_batches_one_way(self, monkeypatch, workers, cores):
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_a_workers_threads_share_its_scratch_and_draw_in_turn(self, monkeypatch, streamed):
+        # Both threads draw with the worker's one set of draws, spare and factor,
+        # and the worker's draw lock keeps their draw stages from overlapping.
+        calls, _ = self._one_worker_on_two_cores(monkeypatch, streamed)
+        draws = sorted((call for call in calls if call[0] == "draw"), key=lambda call: call[5])
+        first = draws[0][3]
+        assert (first[0] is None) == streamed and all(a is not None for a in first[2:])
+        assert all(call[3][k] is first[k] for call in draws for k in (0, 2, 3))
+        assert all(a[6] <= b[5] for a, b in zip(draws, draws[1:])), [call[5:] for call in draws]
+
+    # Runs of each shape: one thread (1 worker, 1 core), a worker with a helper
+    # (1 on 2), workers alone (2 on 2, 8 on 2), every worker with a helper (2 on
+    # 16) and, at 8 on 16, more threads than batches for the held run's 13.
+    @pytest.mark.parametrize("workers, cores, threads", [(1, 1, 1), (1, 2, 2), (2, 2, 2), (2, 16, 4), (8, 2, 8),
+                                                         (8, 16, 16)])
+    def test_a_run_draws_all_its_batches_one_way(self, monkeypatch, workers, cores, threads):
         # At n = 200 a complex m = 2 replicate is over the budget, so its run
-        # streams: 25 batches of one at one worker, else eight floor batches of
-        # three and a last one of one, which streams too. Three real m = 1
-        # replicates fit the budget, so that run holds batches of three and a
-        # last one of one at every worker count. Each worker makes one buffer
-        # set, for its first batch, and its short last batch reuses it (worker
-        # 0 at one and at eight workers). Only a held set has draws. Worker w
-        # of W gets a helper thread and a second product array when w < cores
-        # - W and it has a second batch; it draws on its own thread still.
-        monkeypatch.setattr(ginprod.montecarlo, "_usable_cores", lambda: cores)
+        # streams: 25 batches of one on one thread, else floor batches of three
+        # capped at the per-thread share (two at 16 threads) and a last one of
+        # one, which streams too. Three real m = 1 replicates fit the budget,
+        # so that run holds batches of three, or two at 16 threads, at every
+        # thread count. Only a held run's scratch has draws. The run starts
+        # one thread fewer than it has threads, up to its batch count; each
+        # worker makes one scratch set, which its threads share, and each
+        # thread one product array, both for a full batch.
+        _cores(monkeypatch, cores)
         for spec, streamed in ((GinibreSpec(n=200, m=2, field="complex"), True), (GinibreSpec(n=200, m=1), False)):
             want = _spectra(spec, 25)
+            size = 1 if streamed and threads == 1 else 2 if threads == 16 else 3
+            count = -(-25 // size)
+            run_threads, run_workers = min(threads, count), min(workers, count)
             with monkeypatch.context() as patch:
-                calls = _record_stages(patch)
+                calls, started = _record_stages(patch), _record_starts(patch)
                 assert np.array_equal(_spectra(spec, 25, workers), want)
-            draws = [call for call in calls if call[0] == "draw"]
-            sizes = sorted(size for _, _, size, _, _ in draws)
-            assert sizes == ([1] * 25 if streamed and workers == 1 else [1] + [3] * 8)
-            by_thread = {}
-            for _, thread, _, buffers, _ in draws:
-                by_thread.setdefault(thread, []).append(buffers)
-            run_workers = min(workers, len(draws))
-            assert len(by_thread) == run_workers and threading.current_thread() in by_thread
-            helpers = max(0, min(run_workers, cores - run_workers, len(draws) - run_workers))
-            helped = 0
-            for made in by_thread.values():
-                first, *second = {id(buffers): buffers for buffers in made}.values()
-                assert len(second) <= 1 and all(first[k] is s[k] for s in second for k in (0, 2, 3))
-                helped += len(second)
-                held_draws, product = first[:2]
-                assert product.shape == (sizes[-1], 200, 200)
-                assert held_draws is None if streamed else held_draws.shape == (sizes[-1], spec.m, 1, 200, 200)
-            assert helped == helpers
-            reducers = {thread for _, thread, *_ in calls} - by_thread.keys()
-            assert len(reducers) == helpers
+            assert len(started) == run_threads - 1
+            draws = _by_thread(calls, "draw")
+            assert draws.keys() <= {threading.current_thread(), *started}
+            assert _by_thread(calls, "reduce").keys() <= draws.keys()
+            assert sorted(call[2].start for made in draws.values() for call in made) == list(range(0, 25, size))
+            scratch, products, arrays = {}, set(), {}
+            for made in draws.values():
+                arrays.update((id(a), a.nbytes) for a in made[0][3] if a is not None)
+                held_draws, product, spare, _ = made[0][3]
+                assert all(call[3] is made[0][3] for call in made)
+                assert product.shape == (size, 200, 200) and id(product) not in products
+                products.add(id(product))
+                assert held_draws is None if streamed else held_draws.shape == (size, spec.m, 1, 200, 200)
+                key = id(spare if streamed else held_draws)
+                scratch[key] = scratch.get(key, 0) + 1
+            assert len(scratch) <= run_workers and max(scratch.values()) <= 2
+            # The pre-flight counts the arrays the threads drew with, and no more.
+            budgeted = _run_bytes(spec, RunConfig(25, SEED, workers)) - 25 * 200 * 8
+            assert sum(arrays.values()) <= budgeted
+            assert sum(arrays.values()) == budgeted or len(draws) < run_threads
+
+    def test_every_batch_is_drawn_once_under_frequent_switches(self, monkeypatch):
+        # Eight workers on 16 cores run 16 threads over one sequence of 600
+        # one-replicate batches (floor and budget patched down to one), switching
+        # often: a batch handed out twice or lost would show in the draws or the bits.
+        _cores(monkeypatch, 16)
+        spec = GinibreSpec(n=2, m=2, field="complex")
+        want = _spectra(spec, 600)
+        monkeypatch.setattr(ginprod.montecarlo, "SVD_GIL_THRESHOLD", 0)
+        monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", _replicate_bytes(spec))
+        assert _batches(spec, RunConfig(600, SEED, 8)) == (1, 600, False, 16)
+        calls, results = _record_stages(monkeypatch), []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run = threading.Thread(target=lambda: results.append(_spectra(spec, 600, 8)))
+            run.start()
+            run.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not run.is_alive() and len(results) == 1
+        assert sorted(call[2].start for call in calls if call[0] == "draw") == list(range(600))
+        assert np.array_equal(results[0], want)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("streamed", [False, True])
     def test_products_are_views_of_the_workers_product_buffer(self, monkeypatch, field, m, streamed):
         # Held or streamed, the draw stage writes every batch's products into
-        # its worker's product array and returns its front rows, the ragged
-        # last batch included: 7 replicates in batches of three, or at two
-        # workers two floor batches capped at the share of four.
+        # its thread's product array and returns its front rows, the ragged
+        # last batch included: 7 replicates in batches of three on one core,
+        # or at two workers two floor batches capped at the share of four.
+        _cores(monkeypatch, 1)
         spec = GinibreSpec(n=5, m=m, field=field)
         budget = _streaming_budget(spec) if streamed else 3 * _replicate_bytes(spec)
         monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", budget)
@@ -451,9 +555,9 @@ class TestScheduling:
             calls = _record_stages(monkeypatch)
             _spectra(spec, 7, workers)
             draws = [call for call in calls if call[0] == "draw"]
-            assert sorted(size for _, _, size, _, _ in draws) == sizes
-            for _, _, size, buffers, products in draws:
-                assert products.base is buffers[1] and products.shape == (size, 5, 5)
+            assert sorted(len(batch) for _, _, batch, *_ in draws) == sizes
+            for _, _, batch, buffers, products, *_ in draws:
+                assert products.base is buffers[1] and products.shape == (len(batch), 5, 5)
                 assert (buffers[0] is None) == streamed
 
 
@@ -494,8 +598,9 @@ class TestSeeding:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_seed_prefix_derived_once_per_run(self, monkeypatch, workers):
         # Every batch shares one derivation of the run's fixed words: five
-        # batches of one replicate at one worker, and at two workers the
-        # per-worker share of three, which caps the floor of 500 // 4 + 1.
+        # batches of one replicate at one worker on one core, and at two
+        # workers the per-thread share of three, which caps the floor of 500 // 4 + 1.
+        _cores(monkeypatch, 1)
         spec = GinibreSpec(n=4, m=2, field="complex")
         monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", _replicate_bytes(spec))
         sizes = {1: [1, 1, 1, 1, 1], 2: [3, 2]}[workers]
@@ -532,12 +637,14 @@ class TestSeeding:
 
     @pytest.mark.parametrize("cores", [1, 2, 16])
     def test_worker_count_never_changes_results(self, monkeypatch, cores):
-        # 1000 replicates make batches of 204 at one and at two workers (five
-        # each: helpers at two cores for one worker, at 16 for both) and of
-        # the share of 125 at eight (no helper).
-        monkeypatch.setattr(ginprod.montecarlo, "_usable_cores", lambda: cores)
+        # 1000 replicates make batches of 204 by bytes at one and at two
+        # workers (five each: a helper at two cores for one worker, at 16 for
+        # both) and of the per-thread share at eight: 125 on up to eight
+        # cores, and 63 at 16, where every worker has a helper.
+        _cores(monkeypatch, cores)
         spec = GinibreSpec(n=12, m=2, field="complex")
-        assert [_batches(spec, RunConfig(1000, SEED, w))[:2] for w in (1, 2, 8)] == [(204, 5), (204, 5), (125, 8)]
+        eight = (63, 16) if cores == 16 else (125, 8)
+        assert [_batches(spec, RunConfig(1000, SEED, w))[:2] for w in (1, 2, 8)] == [(204, 5), (204, 5), eight]
         one, two, eight = (collect_spectra(spec, RunConfig(1000, SEED, w)) for w in (1, 2, 8))
         assert np.array_equal(one, two) and np.array_equal(one, eight)
 
@@ -571,8 +678,9 @@ class TestBlasPinning:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_thread_while_sampling_and_restored_after(self, monkeypatch, blas_count, workers):
-        # Four batches of one replicate at one worker; at two, two batches of
-        # the per-worker share, which caps the floor of 500 // 4 + 1.
+        # Four batches of one replicate at one worker on one core; at two
+        # workers, two batches of the per-thread share, which caps the floor of 500 // 4 + 1.
+        _cores(monkeypatch, 1)
         spec = GinibreSpec(n=4, m=2, field="complex")
         monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", _replicate_bytes(spec))
         counts = self._svd_recording(monkeypatch, blas_count)
@@ -582,6 +690,7 @@ class TestBlasPinning:
         assert blas_pinned()
 
     def test_restored_after_a_spoiled_replicate(self, monkeypatch, blas_count):
+        _cores(monkeypatch, 1)  # one thread, so the spoiled first batch is the only one decomposed
         counts = self._svd_recording(monkeypatch, blas_count, spoil=True)
         with pytest.raises(ArithmeticError, match="non-finite"):
             _spectra(GinibreSpec(n=3, m=1), 2, 1)
@@ -729,6 +838,27 @@ class TestMoments:
         for read in (moments.mean, moments.standard_error):
             with pytest.raises(error):
                 read(k)
+
+    @pytest.mark.parametrize("rows", [1, 7, 64, 300])
+    def test_moments_are_taken_in_blocks_of_rows(self, monkeypatch, rows):
+        # Blocks of 1, 7, 64 and all 300 rows give the same bits as the whole
+        # array raised to each power, and the traced peak stays within what
+        # the pre-flight counts beside the spectra.
+        spectra = np.random.default_rng(SEED).random((300, 50)) * 4
+        powers, want = spectra.copy(), np.empty((300, 9))
+        for k in range(9):
+            want[:, k] = powers.mean(axis=1)
+            powers *= spectra
+        monkeypatch.setattr(ginprod.montecarlo, "MOMENT_BLOCK_BYTES", rows * 50 * 8)
+        tracemalloc.start()
+        try:
+            moments = moments_from_spectra(spectra, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(moments.means, want.mean(axis=0))
+        assert np.array_equal(moments.standard_errors, want.std(axis=0, ddof=1) / np.sqrt(300))
+        assert peak <= _moment_bytes(300, 50, 9) - spectra.nbytes
 
     def test_rejects_bad_kmax(self):
         spec = GinibreSpec(n=5, m=1)
