@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from .combinatorics import _k_within_n, _natural
+from .combinatorics import _k_within_n
 
 __all__ = [
     "BetaVector",
@@ -35,7 +35,6 @@ __all__ = [
     "beta_vectors",
     "compute_beta",
     "beta_bounds_check",
-    "beta_ratio",
 ]
 
 
@@ -151,12 +150,3 @@ def beta_bounds_check(bv: BetaVector) -> BetaBoundsReport:
         scale *= n
     return BetaBoundsReport(m=bv.m, n=bv.n, k=bv.k, all_ok=all_ok, vector=bv)
 
-
-def beta_ratio(bv: BetaVector, r: int) -> Fraction:
-    """Exact ratio beta_{r+1} / beta_r = n q_{r+1} / q_r for 0 <= r < k(m+1).
-
-    Raises TypeError unless r is an int, and IndexError outside that range.
-    """
-    if not 0 <= _natural("r", r, None) < bv.degree:
-        raise IndexError(f"r must be in [0, {bv.degree - 1}], got {r}")
-    return Fraction(bv.n * bv.cleared[r + 1], bv.cleared[r])

@@ -249,8 +249,7 @@ def _cmd_moments(args: argparse.Namespace) -> _Result:
     if args.all_formulas:
         report = moment_engine.moment_cross_check(query)
         falling = report.falling_sum.value
-        payload.update(gamma_sum=report.gamma_sum.value, falling_sum=falling,
-                       stirling_beta=report.stirling_beta.value, agree=report.agree)
+        payload.update(report.values, agree=report.agree)
         if not report.agree:
             exit_code = 1
     else:

@@ -8,7 +8,7 @@ equality of values is equality of representations.
 
 Stirling numbers of the second kind come from the triangular recurrence,
 run by :func:`stirling2_column` one whole column at a time in a list it
-does not keep; :func:`stirling2` reads a single value off such a column.
+does not keep: {n brace k} is entry n - k of column k.
 :func:`stirling2_alternating` is the independent second route. Nothing is
 kept between calls.
 """
@@ -21,7 +21,6 @@ __all__ = [
     "binomial",
     "factorial",
     "falling_factorial",
-    "stirling2",
     "stirling2_column",
     "stirling2_alternating",
     "fuss_catalan",
@@ -69,17 +68,6 @@ def falling_factorial(x: int, k: int) -> int:
     is needed here.
     """
     return perm(_natural("x", x), _natural("k", k))
-
-
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind {n brace k}.
-
-    Counts partitions of an n-set into k non-empty blocks. Zero for k > n
-    and for n > 0, k = 0; otherwise entry n - k of :func:`stirling2_column`.
-    """
-    _natural("n", n)
-    _natural("k", k)
-    return stirling2_column(k, n - k)[n - k] if k <= n else 0
 
 
 def stirling2_column(k: int, depth: int) -> list[int]:

@@ -56,12 +56,21 @@ __all__ = [
 DEFAULT_W_MARGIN = 0.01
 
 
-def log_fraction(x: Fraction) -> float:
-    """Natural log of a positive rational.
+def _rational(name: str, x) -> Fraction:
+    """``x`` as an exact Fraction; a finite float is one. inf and nan raise ValueError."""
+    try:
+        return Fraction(x)
+    except (OverflowError, ValueError):
+        raise ValueError(f"{name} must be a finite rational, got {x}") from None
+
+
+def log_fraction(x: Fraction | float) -> float:
+    """Natural log of a positive rational, or of a float read as one.
 
     Computed as log(numerator) - log(denominator); Python's math.log scales
     big integers internally, so values far outside the float range are fine.
     """
+    x = _rational("x", x)
     if x <= 0:
         raise ValueError(f"log requires a positive value, got {x}")
     return math.log(x.numerator) - math.log(x.denominator)
@@ -108,13 +117,14 @@ def w_threshold(m: int, z: Fraction) -> float:
     keeps the threshold finite and positive.
     """
     u = edge_constant(m).u
+    z = _rational("z", z)
     if z <= u:
         raise ValueError(
             f"z = {z} must exceed the edge constant u_{m} = {u}; "
             "the moment bound is vacuous otherwise"
         )
     try:
-        ratio = float(Fraction(z) / u)
+        ratio = float(z / u)
     except OverflowError:
         raise ValueError(f"z / u_{m} is beyond the float range") from None
     if ratio == 1.0:
@@ -128,7 +138,7 @@ def schedule(m: int, z, w_override: float | None = None) -> TailSchedule:
     By default w = (1 + margin) * 3/log(z/u_m); an explicit ``w_override``
     must be finite and exceed the threshold strictly.
     """
-    z = Fraction(z)
+    z = _rational("z", z)
     threshold = w_threshold(m, z)
     if w_override is None:
         w = threshold * (1.0 + DEFAULT_W_MARGIN)
@@ -246,7 +256,7 @@ def markov_chain_bound(m: int, n: int, z, k: int) -> Fraction:
     Markov's inequality needs z > 0; any other z raises ValueError.
     """
     _k_within_n("markov_chain_bound", m, n, k)
-    z = Fraction(z)
+    z = _rational("z", z)
     if z <= 0:
         raise ValueError(f"z must be > 0 for Markov's inequality, got {z}")
     g = moment_engine.moment_falling_sum(moment_engine.MomentQuery(m=m, n=n, k=k)).value

@@ -146,8 +146,7 @@ def _suite_cross_formula(profile: str) -> SuiteResult:
         suite.check(
             (m, n, k),
             report.agree,
-            lambda: "formulations disagree: gamma_sum=%s falling_sum=%s stirling_beta=%s"
-            % (report.gamma_sum.value, report.falling_sum.value, report.stirling_beta.value),
+            lambda: "formulations disagree: " + " ".join(f"{name}={value}" for name, value in report.values.items()),
         )
 
     # Hand-derived closed forms: first moment is 1; second moment at one

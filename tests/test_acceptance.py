@@ -19,7 +19,7 @@ import pytest
 
 from ginprod import montecarlo
 from ginprod.beta_poly import beta_bounds_check, compute_beta
-from ginprod.combinatorics import fuss_catalan, stirling2, stirling2_alternating
+from ginprod.combinatorics import fuss_catalan, stirling2_alternating, stirling2_column
 from ginprod.edge_analysis import (
     beta_leading_asymptotic,
     dominance_report,
@@ -101,19 +101,22 @@ def test_criterion_04_beta_bounds_exact():
 
 
 def test_criterion_05_stirling_suite():
+    def s2(n, k):  # {n brace k}, k <= n, off the recurrence's column k
+        return stirling2_column(k, n - k)[n - k]
+
     failures = []
     for n in range(0, 41):
         for k in range(0, n + 1):
-            if stirling2(n, k) != stirling2_alternating(n, k):
+            if s2(n, k) != stirling2_alternating(n, k):
                 failures.append(("routes", n, k))
     for n in range(1, 61):
         for k in range(1, n):
-            s = stirling2(n, k)
-            if s * s < stirling2(n, k - 1) * stirling2(n, k + 1):
+            s = s2(n, k)
+            if s * s < s2(n, k - 1) * s2(n, k + 1):
                 failures.append(("log-concavity", n, k))
     for r in range(2, 41):
         for c in range(2, r + 1):
-            ratio = Fraction(stirling2(r + 1, c), stirling2(r, c))
+            ratio = Fraction(s2(r + 1, c), s2(r, c))
             if ratio > Fraction(r * (r + 1), 2):
                 failures.append(("ratio-bound", r, c))
     _finish("partition-number suite (routes, log-concavity, ratio bound)", failures)

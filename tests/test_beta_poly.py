@@ -10,7 +10,7 @@ from math import comb, factorial, prod
 
 import pytest
 
-from ginprod.beta_poly import BetaBoundRow, BetaVector, beta_bounds_check, beta_ratio, beta_vectors, compute_beta
+from ginprod.beta_poly import BetaBoundRow, BetaVector, beta_bounds_check, beta_vectors, compute_beta
 
 
 def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -190,11 +190,6 @@ class TestClearedIntegers:
         assert [row.r for row in report.rows if not row.ok] == [r]
 
 class TestRatio:
-    def test_matches_adjacent_coefficients(self):
-        bv = compute_beta(2, 8, 3)
-        for r in range(bv.degree):
-            assert beta_ratio(bv, r) == bv.coeffs[r + 1] / bv.coeffs[r]
-
     def test_large_n_ratio_near_binomial_ratio(self):
         # For n >> k^2 the coefficients track binomial(k(m+1), r), whose
         # consecutive ratio is (N - r)/(r + 1).
@@ -205,22 +200,7 @@ class TestRatio:
                 degree = k * (m + 1)
                 for r in range(degree):
                     want = Fraction(degree - r, r + 1)
-                    assert abs(beta_ratio(bv, r) / want - 1) <= Fraction(1, 10)
-
-    def test_out_of_range(self):
-        bv = compute_beta(1, 4, 2)
-        with pytest.raises(IndexError):
-            beta_ratio(bv, bv.degree)
-        with pytest.raises(IndexError):
-            beta_ratio(bv, -1)
-
-    def test_order_must_be_an_int(self):
-        # A bool is an int subclass, but never an order: it is refused before the range check.
-        bv = compute_beta(1, 4, 2)
-        with pytest.raises(TypeError, match="^r must be an int, got bool$"):
-            beta_ratio(bv, True)
-        with pytest.raises(TypeError, match="^r must be an int, got float$"):
-            beta_ratio(bv, 1.0)
+                    assert abs(bv.coeffs[r + 1] / bv.coeffs[r] / want - 1) <= Fraction(1, 10)
 
 
 class TestLargeNApproach:

@@ -228,13 +228,16 @@ class TestTailboundCommand:
         ("1e400", r"z / u_1 is beyond the float range\n"),
         ("4.00000000000000000001", r"z / u_1 rounds to 1 as a float, so no finite w is admissible\n"),
         ("1/0", r"argument --z: invalid Fraction value: '1/0'\n"),
+        ("inf", r"argument --z: invalid Fraction value: 'inf'\n"),
+        ("nan", r"argument --z: invalid Fraction value: 'nan'\n"),
     ])
     def test_extreme_z_is_usage_error(self, capsys, z, message):
         # The bound refuses a z past the float's range or precision. The parser
-        # refuses a zero denominator, after its usage lines, as any non-fraction.
+        # refuses a zero denominator and a non-finite z, after its usage lines,
+        # as any non-fraction.
         code, out, err = run_cli(capsys, "tailbound", "--m", "1", "--z", z, "--n-grid", "100")
         assert (code, out) == (2, "")
-        prefix = "usage: ginprod tailbound .*\nginprod tailbound" if z == "1/0" else "ginprod"
+        prefix = "usage: ginprod tailbound .*\nginprod tailbound" if z in ("1/0", "inf", "nan") else "ginprod"
         assert re.fullmatch(f"{prefix}: error: {message}", err, re.DOTALL)
 
     def test_fractional_z_accepted(self, capsys):
@@ -872,6 +875,26 @@ def test_all_formulas_evaluates_the_falling_sum_once(capsys, monkeypatch):
     assert list(doc) == ["meta", "m", "n", "k", "gamma_sum", "falling_sum", "stirling_beta",
                          "agree", "fuss_catalan", "gap"]
     assert doc["falling_sum"] == doc["gamma_sum"] == doc["stirling_beta"]
+
+
+def test_all_formulas_disagreement_exits_one_with_every_route(capsys, monkeypatch):
+    # G(2, 5, 3) = 8028/625; the gamma sum one unit off must be written as it
+    # came out, next to the other two routes, and fail the command.
+    real = ginprod.moment_engine.moment_gamma_sum
+
+    def corrupted(query):
+        value = real(query)
+        return ginprod.moment_engine.MomentValue(value=value.value + 1, scaled=value.scaled)
+
+    monkeypatch.setattr(ginprod.moment_engine, "moment_gamma_sum", corrupted)
+    code, out, err = run_cli(capsys, "moments", "--m", "2", "--n", "5", "--k", "3", "--all-formulas")
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    del doc["meta"]
+    assert list(doc.items()) == [
+        ("m", 2), ("n", 5), ("k", 3), ("gamma_sum", "8653/625"), ("falling_sum", "8028/625"),
+        ("stirling_beta", "8028/625"), ("agree", False), ("fuss_catalan", "12"), ("gap", "528/625"),
+    ]
 
 
 class TestValueFormat:

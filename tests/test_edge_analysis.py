@@ -66,6 +66,29 @@ class TestLogFraction:
         with pytest.raises(ValueError):
             log_fraction(Fraction(-1, 2))
 
+    def test_reads_a_float_as_the_rational_it_is(self):
+        assert log_fraction(2.5) == log_fraction(Fraction(5, 2))
+        assert log_fraction(1e-300) == log_fraction(Fraction(1e-300))
+        with pytest.raises(ValueError, match="^x must be a finite rational, got inf$"):
+            log_fraction(math.inf)
+
+
+_NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("z", _NON_FINITE, ids=str)
+@pytest.mark.parametrize("call", [
+    lambda z: schedule(1, z),
+    lambda z: w_threshold(1, z),
+    lambda z: markov_chain_bound(1, 4, z, 2),
+    lambda z: tail_summand(1, 100, z),
+], ids=["schedule", "w_threshold", "markov_chain_bound", "tail_summand"])
+def test_a_threshold_that_is_not_finite_is_refused_by_name(call, z):
+    # A float is an exact rational, but inf and nan are not: each is a
+    # ValueError naming z, not an OverflowError read as a numerical failure.
+    with pytest.raises(ValueError, match=f"^z must be a finite rational, got {z}$"):
+        call(z)
+
 
 class TestSchedule:
     def test_threshold_example(self):

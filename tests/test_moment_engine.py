@@ -14,18 +14,21 @@ import pytest
 from ginprod.combinatorics import fuss_catalan
 from ginprod.moment_engine import (
     MomentQuery,
-    _gamma_sum_restricted,
     _pairwise_product,
     moment_cross_check,
     moment_falling_sum,
     moment_gamma_sum,
-    moment_limit_gap,
     moment_stirling_beta,
 )
 
 
 def _value(m, n, k):
     return moment_falling_sum(MomentQuery(m=m, n=n, k=k)).value
+
+
+def _limit_gap(m, k, n):
+    """G(m, n, k) minus its n -> infinity limit, the Fuss-Catalan number."""
+    return _value(m, n, k) - fuss_catalan(m, k)
 
 
 class TestClosedForms:
@@ -69,15 +72,20 @@ class TestFormulationAgreement:
                         == report.falling_sum.value
                         == report.stirling_beta.value
                     )
+                    assert list(report.values.items()) == [
+                        ("gamma_sum", report.gamma_sum.value),
+                        ("falling_sum", report.falling_sum.value),
+                        ("stirling_beta", report.stirling_beta.value),
+                    ]
 
-    def test_restricted_range_matches_full_sum(self):
-        # The full alternating sum and its nonzero-range rewrite are
-        # independent sign bookkeeping; they must agree term for term.
+    def test_gamma_sum_matches_falling_sum(self):
+        # The gamma sum's sign comes out of a literal product; the falling sum
+        # states it as (-1)^(k+1-j). The two must agree over the whole grid.
         for m in (1, 2, 3):
             for k in range(1, 5):
                 for n in range(k, 9):
                     q = MomentQuery(m=m, n=n, k=k)
-                    assert moment_gamma_sum(q).value == _gamma_sum_restricted(q).value
+                    assert moment_gamma_sum(q).value == moment_falling_sum(q).value
 
     def test_gamma_sum_skips_only_vanishing_terms(self):
         # moment_gamma_sum starts at i = n - k; every earlier term carries
@@ -103,7 +111,7 @@ class TestFormulationAgreement:
         # how the sum is evaluated, never its exact value.
         q = MomentQuery(m=m, n=n, k=k)
         value = moment_gamma_sum(q).value
-        assert value == moment_falling_sum(q).value == _gamma_sum_restricted(q).value
+        assert value == moment_falling_sum(q).value
 
     @pytest.mark.parametrize("factors", [
         [], [7], [-3], [0], [2, 3], [2, -3, 5], [1, 2, 3, 4, 5, 6, 7],
@@ -143,12 +151,12 @@ class TestMomentShape:
 class TestLimitGap:
     def test_exact_gaps(self):
         for n in (2, 7, 30):
-            assert moment_limit_gap(1, 2, n) == 0
-            assert moment_limit_gap(2, 2, n) == Fraction(1, n**2)
-            assert moment_limit_gap(1, 1, n) == 0
+            assert _limit_gap(1, 2, n) == 0
+            assert _limit_gap(2, 2, n) == Fraction(1, n**2)
+            assert _limit_gap(1, 1, n) == 0
 
     def test_gap_shrinks_with_n(self):
-        gaps = [moment_limit_gap(2, 4, n) for n in (4, 8, 16, 32)]
+        gaps = [_limit_gap(2, 4, n) for n in (4, 8, 16, 32)]
         assert all(g > 0 for g in gaps)
         assert gaps[0] > gaps[1] > gaps[2] > gaps[3]
 

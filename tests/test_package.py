@@ -53,3 +53,31 @@ def test_docstring_references_resolve():
             assert obj is not None, f"{module.__name__} names {name}, which does not resolve"
             references += 1
     assert references > 30
+
+
+def _unreferenced_functions(package: Path) -> set[str]:
+    """Module-level functions of ``package`` that no code outside their own body reads.
+
+    A function is read where its name is loaded, bare or as an attribute;
+    strings, docstrings and ``__all__`` entries do not count.
+    """
+    defined, read = set(), set()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(top)
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+            }
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(top.name)
+                names.discard(top.name)
+            read |= names
+    return defined - read
+
+
+def test_every_function_in_src_is_called_from_src():
+    # A function only the tests call is a second way to do a job. The one
+    # exemption, replicate_rng, states the reproducibility contract the tests
+    # check the samplers against.
+    assert _unreferenced_functions(SRC / "ginprod") == {"replicate_rng"}

@@ -92,8 +92,15 @@ class TestFaultInjection:
         ]
         assert {f.suite for f in report.failures} == {"stirling"}
 
-    def test_corrupted_moment_engine_is_caught(self, monkeypatch):
-        real = ginprod.moment_engine.moment_falling_sum
+    @pytest.mark.parametrize("route, values", [
+        ("gamma_sum", "gamma_sum=3 falling_sum=2 stirling_beta=2"),
+        ("falling_sum", "gamma_sum=2 falling_sum=3 stirling_beta=2"),
+        ("stirling_beta", "gamma_sum=2 falling_sum=2 stirling_beta=3"),
+    ])
+    def test_corrupted_moment_engine_is_caught(self, monkeypatch, route, values):
+        # Every route is checked against the other two: G(1, 5, 2) = 2, one
+        # unit off on any route, is named with all three values in order.
+        real = getattr(ginprod.moment_engine, f"moment_{route}")
 
         def corrupted(query):
             value = real(query)
@@ -103,11 +110,11 @@ class TestFaultInjection:
                 )
             return value
 
-        monkeypatch.setattr(ginprod.moment_engine, "moment_falling_sum", corrupted)
+        monkeypatch.setattr(ginprod.moment_engine, f"moment_{route}", corrupted)
         report = run_verify("quick")
         assert not report.ok
         cross = next(s for s in report.suites if s.name == "cross_formula")
-        assert any(f.point == (1, 5, 2) for f in cross.failures)
+        assert f"formulations disagree: {values}" in [f.message for f in cross.failures if f.point == (1, 5, 2)]
 
     def test_corrupted_beta_is_caught(self, monkeypatch):
         # One cleared coefficient one unit above its upper bound
