@@ -25,7 +25,10 @@ Output contracts:
   quoting.
 - Handlers return raw values and ``_cell`` alone writes them, in CSV and
   for JSON rationals: floats with 17 significant digits, bools as
-  true/false, rationals as "p/q", None as an empty cell.
+  true/false, rationals as "p/q", None as an empty cell. The one
+  exception is ``dominance``'s term column: its handler writes the
+  report's reduced (p, q) pairs as "p/q", or "p" when q = 1, as a
+  Fraction prints, and formats each distinct denominator once.
 - A new or regular output file is replaced atomically (written under a
   temporary name in its directory, then renamed; its permission bits are
   kept), so a failed write never leaves a truncated file. A symlink,
@@ -272,16 +275,19 @@ def _cmd_beta(args: argparse.Namespace) -> _Result:
 
 def _cmd_dominance(args: argparse.Namespace) -> _Result:
     report = edge_analysis.dominance_report(m=args.m, n=args.n, k=args.k)
+    pairs = report.reduced_terms
+    suffix = {q: f"/{q}" if q != 1 else "" for q in {q for _, q in pairs}}
+    terms = [f"{p}{suffix[q]}" for p, q in pairs]
     # The last term has no successor: its ratio cells are left empty.
     rows = itertools.zip_longest(
-        report.r_values, report.terms, report.ratios, report.ratio_bounds, report.ratio_ok
+        report.r_values, terms, report.ratios, report.ratio_bounds, report.ratio_ok
     )
     table = _Table(
         {
             "m": args.m,
             "n": args.n,
             "k": args.k,
-            "first_term_share": float(report.first_term_share),
+            "first_term_share": report.first_term_share,
             "all_ratios_pass": report.all_ratios_ok,
         },
         ["r", "term", "ratio_to_next", "ratio_bound", "pass"],

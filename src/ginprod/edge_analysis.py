@@ -15,7 +15,8 @@ ingredients of that chain plus the asymptotic surrogates used to argue it:
 * :func:`dominance_report`     -- the terms of the Stirling-form moment sum
   G = (1/k) sum_r q_r {r brace k-1} / n^(mk+1), read as integer numerators
   from the summands ``moment_engine`` sums, with each consecutive ratio
-  checked against ((m+1)/2)(r+1)^2 / n on those integers;
+  checked against ((m+1)/2)(r+1)^2 / n on those integers, and each term
+  reduced to lowest terms by gcds with n for ``ginprod dominance`` to write;
 * :func:`beta_leading_asymptotic` -- the leading coefficient beta_{k-1}/k
   against (1/k) C(k(m+1), k-1) and its closed-form Stirling approximation.
 
@@ -166,6 +167,10 @@ class DominanceReport:
     2n t_{r+1} < (m+1)(r+1)^2 t_r. ``terms``, ``ratios`` and ``ratio_bounds``
     are Fractions built on first read, a second route to the flags.
 
+    ``reduced_terms`` holds the terms in lowest form as integer pairs, found
+    by gcds with n alone; it is what ``ginprod dominance`` writes, and
+    ``terms`` is the gcd-normalised second route to the same values.
+
     The flags are meaningful deep in the k^2 << n regime; outside it the
     report is still exact but the bound may fail, which is why assertion
     is left to the caller.
@@ -183,8 +188,9 @@ class DominanceReport:
         return all(self.ratio_ok)
 
     @property
-    def first_term_share(self) -> Fraction:
-        return Fraction(self.numerators[0], sum(self.numerators))
+    def first_term_share(self) -> float:
+        """t_{k-1} / sum_r t_r, correctly rounded: int true division rounds once."""
+        return self.numerators[0] / sum(self.numerators)
 
     @property
     def scaled_moment(self) -> Fraction:
@@ -195,6 +201,30 @@ class DominanceReport:
     def terms(self) -> tuple[Fraction, ...]:
         denominator = self.n ** (self.k * (self.m + 1))
         return tuple(Fraction(num, denominator) for num in self.numerators)
+
+    @cached_property
+    def reduced_terms(self) -> tuple[tuple[int, int], ...]:
+        """Each term as a (numerator, denominator) pair in lowest terms.
+
+        Every denominator is n^N, N = k(m+1), so a numerator's gcd with it is
+        built from gcds with n: each round divides the numerator by g =
+        gcd(numerator, n) and multiplies g into an accumulator, which after j
+        rounds is gcd(numerator, n^j). At most N rounds, stopping at g = 1;
+        each costs time linear in the digits and needs no factorisation of n.
+        """
+        n, rounds = self.n, self.k * (self.m + 1)
+        full = n**rounds
+        pairs = []
+        for num in self.numerators:
+            common = 1
+            for _ in range(rounds):
+                g = math.gcd(num, n)
+                if g == 1:
+                    break
+                num //= g
+                common *= g
+            pairs.append((num, full // common))
+        return tuple(pairs)
 
     @cached_property
     def ratios(self) -> tuple[Fraction, ...]:

@@ -232,17 +232,24 @@ def _suite_stirling(profile: str) -> SuiteResult:
             hi = s2(n, k + 1)
             suite.check((n, k), s * s >= lo * hi, lambda: f"log-concavity fails: {s}^2 < {lo}*{hi}")
 
-    # Consecutive-ratio identity and its quadratic upper bound.
+    # Consecutive-ratio identity {r+1 brace j}/{r brace j} = j + {r brace j-1}/{r brace j}
+    # and its bound r(r+1)/2, decided on integers: {r brace j} > 0 on this grid.
+    # The messages build the Fractions only for a failure.
     for r in range(2, ratio_r + 1):
         for km1 in range(2, r + 1):
             cur = s2(r, km1)
             nxt = s2(r + 1, km1)
             prev_col = s2(r, km1 - 1)
-            ratio = Fraction(nxt, cur)
-            identity = km1 + Fraction(prev_col, cur)
-            suite.check((r, km1), ratio == identity, lambda: f"ratio identity fails: {ratio} != {identity}")
-            bound = Fraction(r * (r + 1), 2)
-            suite.check((r, km1), ratio <= bound, lambda: f"ratio {ratio} exceeds {bound}")
+            suite.check(
+                (r, km1),
+                nxt == km1 * cur + prev_col,
+                lambda: f"ratio identity fails: {Fraction(nxt, cur)} != {km1 + Fraction(prev_col, cur)}",
+            )
+            suite.check(
+                (r, km1),
+                2 * nxt <= r * (r + 1) * cur,
+                lambda: f"ratio {Fraction(nxt, cur)} exceeds {Fraction(r * (r + 1), 2)}",
+            )
     return suite
 
 
@@ -252,7 +259,6 @@ def _suite_dominance(profile: str) -> SuiteResult:
         points = [(m, 10**3, k) for m in (1, 2) for k in range(2, 6)]
     else:
         points = [(m, 10**5, k) for m in (1, 2) for k in range(2, 7)]
-    share_floor = Fraction(9, 10)
     for m, n, k in points:
         report = edge_analysis.dominance_report(m=m, n=n, k=k)
         for r, ratio, bound, ok in zip(
@@ -261,8 +267,8 @@ def _suite_dominance(profile: str) -> SuiteResult:
             suite.check((m, n, k, r), ok, lambda: f"term ratio {float(ratio):.4g} not below {float(bound):.4g}")
         suite.check(
             (m, n, k),
-            report.first_term_share >= share_floor,
-            lambda: f"first-term share {float(report.first_term_share):.4g} below 0.9",
+            10 * report.numerators[0] >= 9 * sum(report.numerators),  # a share of 9/10, exactly
+            lambda: f"first-term share {report.first_term_share:.4g} below 0.9",
         )
         # The terms must sum to the scaled moment of the falling-factorial
         # route, which shares neither the expansion nor the Stirling column.

@@ -106,6 +106,13 @@ class TestMomentsCommand:
         doc = json.loads(out)
         assert json.loads(json.dumps(doc)) == doc
 
+    def test_benchmark_call_writes_frozen_bytes(self, capsys):
+        # The benchmark's moments call, frozen by digest like its dominance call.
+        code, out, err = run_cli(capsys, "moments", "--m", "2", "--n", "2000", "--k", "10", "--all-formulas")
+        assert (code, err) == (0, "")
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "2b3a503a5440333a6e09ce13948b727563bd0829078173acd60bb10531e1b5ba"
+
     def test_k_above_n_with_all_formulas_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "moments", "--m", "1", "--n", "2", "--k", "5", "--all-formulas"
@@ -175,6 +182,21 @@ class TestDominanceCommand:
         finally:
             if limit is not None:
                 sys.set_int_max_str_digits(limit)
+        # Its stdout is frozen by digest too, like the k = 100 call below.
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "a382519d452bf0c5ee3d4161db0323b465323bf0fb4f4ba64c7ad03a56bbe344"
+
+    # n = 1, a prime, a prime power, a squarefree product, a product of
+    # prime powers, a power of ten and one past the int64 range.
+    @pytest.mark.parametrize("m, n, k", [
+        (3, 1, 1), (2, 101, 12), (2, 2**10, 8), (2, 462, 40), (3, 720720, 10), (1, 10**5, 30), (2, 10**18, 6),
+    ])
+    def test_term_cells_are_the_fraction_text(self, capsys, m, n, k):
+        code, out, err = run_cli(capsys, "dominance", "--m", str(m), "--n", str(n), "--k", str(k))
+        assert err == ""
+        report = ginprod.edge_analysis.dominance_report(m=m, n=n, k=k)
+        _, _, rows = parse_csv(out)
+        assert [row[1] for row in rows] == [str(term) for term in report.terms]
 
     def test_benchmark_call_writes_frozen_bytes(self, capsys):
         # The benchmark's dominance call, every term and ratio in full: its stdout
@@ -198,6 +220,15 @@ class TestTailboundCommand:
         for row in rows:
             assert "/" in row[2]  # exact rational, not a float
             assert float(row[4]) <= float(row[5])
+
+    def test_benchmark_call_writes_frozen_bytes(self, capsys):
+        # The benchmark's tailbound call, frozen by digest like its dominance call.
+        code, out, err = run_cli(
+            capsys, "tailbound", "--m", "2", "--z", "9", "--n-grid", "100,200,400,800,1600,3200"
+        )
+        assert (code, err) == (0, "")
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "cbaa8fd54cf5acd03a1642deee8d7567159db9a8bbee1e66d4a23b19d4403508"
 
     def test_z_below_edge_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "tailbound", "--m", "1", "--z", "3", "--n-grid", "60")

@@ -10,6 +10,7 @@ import ginprod.moment_engine
 from ginprod.beta_poly import compute_beta
 from ginprod.combinatorics import binomial
 from ginprod.edge_analysis import (
+    DominanceReport,
     _min_admissible_n,
     beta_leading_asymptotic,
     dominance_report,
@@ -210,6 +211,35 @@ class TestDominanceIntegers:
         denominator = 10 ** (3 * 5 * 3)
         assert report.terms == tuple(Fraction(num, denominator) for num in report.numerators)
         assert report.terms is report.terms  # built once
+
+
+class TestReducedTerms:
+    @pytest.mark.parametrize("m, n, k", [
+        (3, 1, 1), (2, 101, 12), (2, 2**10, 8), (2, 462, 40), (3, 720720, 10), (1, 10**5, 30), (2, 10**18, 6),
+    ])
+    def test_pairs_equal_the_fraction_terms(self, m, n, k):
+        report = dominance_report(m, n, k)
+        assert report.reduced_terms == tuple((t.numerator, t.denominator) for t in report.terms)
+        assert report.reduced_terms is report.reduced_terms  # built once
+
+    @pytest.mark.parametrize("n", [1, 12, 101, 2**10, 10**18])
+    def test_synthetic_numerators(self, n):
+        # Zero, units, and valuations past the k(m+1) v_p(n) that n^(k(m+1))
+        # can absorb: the rounds stop at the cap and leave the rest upstairs.
+        m, k = 1, 2
+        cap = k * (m + 1)
+        nums = (0, 1, 7, n**cap, 5 * n ** (cap + 3), 2 ** (64 * cap), 3 ** (40 * cap) * 11, n ** (cap - 1) * 2**9)
+        report = DominanceReport(
+            m=m, n=n, k=k, r_values=tuple(range(len(nums))), numerators=nums, ratio_ok=(True,) * (len(nums) - 1)
+        )
+        want = [Fraction(num, n**cap) for num in nums]
+        assert report.reduced_terms == tuple((t.numerator, t.denominator) for t in want)
+        assert report.terms == tuple(want)
+
+    @pytest.mark.parametrize("m, n, k", _DOMINANCE_GRID)
+    def test_first_term_share_is_the_rounded_fraction(self, m, n, k):
+        report = dominance_report(m, n, k)
+        assert report.first_term_share == float(Fraction(report.numerators[0], sum(report.numerators)))
 
 
 class TestAsymptotic:

@@ -92,6 +92,30 @@ class TestFaultInjection:
         ]
         assert {f.suite for f in report.failures} == {"stirling"}
 
+    def test_corrupted_stirling_column_fails_the_ratio_checks(self, monkeypatch):
+        # {12 brace 5} a hundredfold too large breaks the ratio identity at
+        # every pair it enters and the ratio bound where it is the numerator.
+        # The points and text are those of the checks made on Fractions.
+        real = ginprod.combinatorics.stirling2_column
+        n, k = 12, 5
+
+        def corrupted(col, depth):
+            column = real(col, depth)
+            if col == k and depth >= n - k:
+                column[n - k] *= 100
+            return column
+
+        monkeypatch.setattr(ginprod.combinatorics, "stirling2_column", corrupted)
+        stirling = next(s for s in run_verify("quick").suites if s.name == "stirling")
+        assert stirling.checks == 1046
+        ratio = [(f.point, f.message) for f in stirling.failures if f.message.startswith("ratio")]
+        assert ratio == [
+            ((11, 5), "ratio identity fails: 1254000/2243 != 12540/2243"),
+            ((11, 5), "ratio 1254000/2243 exceeds 66"),
+            ((12, 5), "ratio identity fails: 682591/12540000 != 62755591/12540000"),
+            ((12, 6), "ratio identity fails: 211848/30083 != 3315498/30083"),
+        ]
+
     @pytest.mark.parametrize("route, values", [
         ("gamma_sum", "gamma_sum=3 falling_sum=2 stirling_beta=2"),
         ("falling_sum", "gamma_sum=2 falling_sum=3 stirling_beta=2"),
