@@ -96,9 +96,12 @@ The streams are derived in bulk: once per run, numpy's own
 ``SeedSequence(master_seed, spawn_key=(n, m, field))`` mixes the run's
 fixed words, and each batch mixes only r into that pool, for all its
 replicates at once, by numpy's seeding arithmetic (frozen by its RNG
-policy, NEP 19). One generator per batch is set to each state in turn.
-The draws are bit-identical to :func:`replicate_rng`, which stays the
-contract's definition and the tests' reference.
+policy, NEP 19). PCG64's own seeding step, inc = 2 seq + 1 and state =
+(inc + seed) x multiplier + inc mod 2^128, runs over the batch too, on
+(high, low) uint64 word arrays, so a replicate costs only the joining of
+its words into Python ints. One generator per batch is set to each state
+in turn. The draws are bit-identical to :func:`replicate_rng`, which
+stays the contract's definition and the tests' reference.
 """
 
 from __future__ import annotations
@@ -170,7 +173,8 @@ _ENTRY_DTYPES = {"real": np.float64, "complex": np.complex128}
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_PCG64_MULT_WORDS = (np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & 0xFFFFFFFFFFFFFFFF))  # (high, low)
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 #: (get, set) thread-count symbols of the BLAS libraries numpy ships with, in lookup order.
 _BLAS_THREAD_SYMBOLS = (
@@ -319,26 +323,44 @@ def _seed_prefix(spec: GinibreSpec, master_seed: int) -> tuple[np.random.SeedSeq
     return seq, np.cumprod([start, *[_MULT_A] * 4], dtype=np.uint32)
 
 
+def _add128(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """a + b mod 2**128 of (high, low) uint64 word arrays, the carry taken from the low words."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < b[1]), low
+
+
+def _mul128(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """a * b mod 2**128 of (high, low) uint64 word arrays. The full product of the
+    low words is built from their 32-bit halves, whose products fit 64 bits."""
+    a0, a1, b0, b1 = a[1] & _LOW32, a[1] >> 32, b[1] & _LOW32, b[1] >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _LOW32) + p10  # at most 2**64 - 1
+    high = a1 * b1 + (mid >> 32) + (p01 >> 32) + a[0] * b[1] + a[1] * b[0]
+    return high, mid << 32 | p00 & _LOW32
+
+
 def _replicate_states(prefix: tuple, replicates: Sequence[int]) -> Iterator[dict]:
     """Yield the PCG64 state of ``replicate_rng(spec, master_seed, r)`` for each r.
 
     ``prefix`` is ``_seed_prefix(spec, master_seed)``. Only r is mixed here,
     as wrapping uint32 arrays over all r at once: into the four pool words,
     then into ``generate_state(4, np.uint64)``'s eight. PCG64's seeding runs
-    on Python ints. Every r must be below 2**32, a single entropy word.
+    on the (high, low) uint64 words of its 128-bit numbers, over all r at
+    once too. Every r must be below 2**32, a single entropy word.
     """
     seq, consts = prefix
     r = np.asarray(replicates, dtype=np.uint32)[:, None]
     pool = _MIX_MULT_L * seq.pool - _MIX_MULT_R * _hash(r, consts)
     pool ^= pool >> 16
     words = _hash(np.concatenate((pool, pool), axis=1), _STATE_CONSTS).astype(np.uint64)
-    seeds = words[:, 0::2] | words[:, 1::2] << 32  # paired low word first
+    seed_high, seed_low, seq_high, seq_low = (words[:, 0::2] | words[:, 1::2] << 32).T  # paired low word first
 
     # PCG64's srandom: state 0, inc = 2 * seq + 1, step, add the seed, step.
-    for high, low, seq_high, seq_low in seeds.tolist():
-        inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
-        state = ((inc + (high << 64 | low)) * _PCG64_MULT + inc) & _MASK128
-        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+    inc = (seq_high << 1 | seq_low >> 63, seq_low << 1 | 1)
+    state = _add128(_mul128(_add128(inc, (seed_high, seed_low)), _PCG64_MULT_WORDS), inc)
+    for state_high, state_low, inc_high, inc_low in zip(*(w.tolist() for w in (*state, *inc))):
+        yield {"bit_generator": "PCG64", "state": {"state": state_high << 64 | state_low,
+                                                   "inc": inc_high << 64 | inc_low},
                "has_uint32": 0, "uinteger": 0}
 
 
@@ -414,14 +436,15 @@ def _draw_stage(spec: GinibreSpec, prefix: tuple, batch: range, buffers: tuple) 
     # Seeded from the run's sequence, so no OS entropy is read; each replicate's state replaces it.
     rng = np.random.Generator(np.random.PCG64(prefix[0]))
     states = _replicate_states(prefix, np.arange(batch.start, batch.stop))
-    for i, state in enumerate(states):
-        rng.bit_generator.state = state
-        if draws is None:  # streamed: the chain runs per replicate, drawing each factor where it goes
+    if draws is None:  # streamed: the chain runs per replicate, drawing each factor where it goes
+        for i, state in enumerate(states):
+            rng.bit_generator.state = state
             _chain(spec, product[i : i + 1], spare, factor, lambda j, out, free: _draw_factor(spec, rng, out, free))
-        else:
-            rng.standard_normal(out=draws[i])
-    if draws is None:
         return product
+    bit_generator, standard_normal = rng.bit_generator, rng.standard_normal
+    for row, state in zip(draws, states):
+        bit_generator.state = state
+        standard_normal(out=row)
     return _chain(spec, product, spare, factor, lambda j, out, free: _entries(spec, draws[:, j], out))
 
 
@@ -643,12 +666,30 @@ def moments_from_spectra(spectra: np.ndarray, k_max: int) -> EmpiricalMoments:
 def edge_from_values(values: np.ndarray) -> EdgeEstimate:
     """Summarise per-replicate largest squared singular values, e.g. ``spectra[:, 0]``.
 
+    The quantiles follow numpy's default 'linear' rule term for term, so
+    they equal ``np.quantile(values, [0.05, 0.5, 0.95])`` bit for bit: for
+    q, v = (n - 1) q, and a and b are the values of rank i = floor(v) and
+    i + 1 in ascending order, both the last one (i = -1) where v >= n - 1;
+    with t = v - i the quantile is a + (b - a) t, or b - (b - a)(1 - t)
+    where t >= 0.5. A NaN makes all three NaN. The ranks come from one
+    ``np.partition``; ``np.quantile`` itself would import ``numpy.ma``
+    (through ``np.unique``), about 8 ms of every run that reports an edge.
+
     Raises ValueError unless ``values`` is 1-D and non-empty.
     """
     if values.ndim != 1 or values.size == 0:
         raise ValueError(f"values must be a non-empty 1-D array, got shape {values.shape}")
     replicates = values.shape[0]
-    q05, q50, q95 = np.quantile(values, [0.05, 0.5, 0.95])
+    virtual = [(replicates - 1) * q for q in (0.05, 0.5, 0.95)]
+    lower = [-1 if v >= replicates - 1 else math.floor(v) for v in virtual]
+    upper = [i if i < 0 else i + 1 for i in lower]
+    ordered = np.partition(values, sorted({replicates - 1, *(i % replicates for i in lower + upper)}))
+    quantiles = [math.nan] * 3
+    if not math.isnan(ordered[-1]):  # NaNs sort last
+        for k, (v, i, j) in enumerate(zip(virtual, lower, upper)):
+            a, b, t = float(ordered[i]), float(ordered[j]), v - i
+            quantiles[k] = b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+    q05, q50, q95 = quantiles
     if replicates > 1:
         se = float(values.std(ddof=1) / np.sqrt(replicates))
     else:

@@ -234,7 +234,7 @@ def _suite_stirling(profile: str) -> SuiteResult:
 
     # Consecutive-ratio identity {r+1 brace j}/{r brace j} = j + {r brace j-1}/{r brace j}
     # and its bound r(r+1)/2, decided on integers: {r brace j} > 0 on this grid.
-    # The messages build the Fractions only for a failure.
+    # The messages build the ratios only for a failure, where {r brace j} may be 0.
     for r in range(2, ratio_r + 1):
         for km1 in range(2, r + 1):
             cur = s2(r, km1)
@@ -243,14 +243,19 @@ def _suite_stirling(profile: str) -> SuiteResult:
             suite.check(
                 (r, km1),
                 nxt == km1 * cur + prev_col,
-                lambda: f"ratio identity fails: {Fraction(nxt, cur)} != {km1 + Fraction(prev_col, cur)}",
+                lambda: f"ratio identity fails: {_ratio(nxt, cur)} != {_ratio(km1 * cur + prev_col, cur)}",
             )
             suite.check(
                 (r, km1),
                 2 * nxt <= r * (r + 1) * cur,
-                lambda: f"ratio {Fraction(nxt, cur)} exceeds {Fraction(r * (r + 1), 2)}",
+                lambda: f"ratio {_ratio(nxt, cur)} exceeds {Fraction(r * (r + 1), 2)}",
             )
     return suite
+
+
+def _ratio(num: int, den: int) -> Fraction | str:
+    """num/den for a failure message: the reduced Fraction, or the text "num/0"."""
+    return Fraction(num, den) if den else f"{num}/0"
 
 
 def _suite_dominance(profile: str) -> SuiteResult:

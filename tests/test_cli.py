@@ -628,6 +628,22 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL at (6, 2)" in out
 
+    def test_zero_stirling_value_exits_one(self, capsys, monkeypatch):
+        # {12 brace 5} = 0 divides nothing: its ratio checks fail with their
+        # points, as any failed check does, instead of raising ZeroDivisionError (exit 3).
+        real = ginprod.combinatorics.stirling2_column
+
+        def corrupted(col, depth):
+            column = real(col, depth)
+            if col == 5 and depth >= 7:
+                column[7] = 0
+            return column
+
+        monkeypatch.setattr(ginprod.combinatorics, "stirling2_column", corrupted)
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        assert "FAIL at (12, 5)" in out and "FAIL at (11, 5)" in out
+
     def test_unknown_profile_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--profile", "huge"])

@@ -26,9 +26,11 @@ from ginprod.montecarlo import (
     MAX_WORKERS,
     RunConfig,
     WORKERS_ENV_VAR,
+    _add128,
     _batches,
     _blas_threads,
     _moment_bytes,
+    _mul128,
     _replicate_states,
     _run_bytes,
     _seed_prefix,
@@ -595,6 +597,31 @@ class TestSeeding:
                 want = [replicate_rng(spec, master_seed, r).bit_generator.state for r in replicates]
                 assert states == want, (n, master_seed)
 
+    def test_word_arithmetic_matches_python_ints(self):
+        # PCG64's seeding runs on (high, low) uint64 words: every pair of words
+        # from the edges of the 32- and 64-bit ranges, against 128-bit Python ints.
+        edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        pairs = [(high, low) for high in edges for low in edges]
+        a_high, a_low = (np.array(words * len(pairs), dtype=np.uint64) for words in zip(*pairs))
+        b_high, b_low = (np.repeat(np.array(words, dtype=np.uint64), len(pairs)) for words in zip(*pairs))
+        a = [high << 64 | low for high, low in zip(a_high.tolist(), a_low.tolist())]
+        b = [high << 64 | low for high, low in zip(b_high.tolist(), b_low.tolist())]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # wrapping uint64 arithmetic must stay silent
+            for op, want in ((_add128, [x + y for x, y in zip(a, b)]), (_mul128, [x * y for x, y in zip(a, b)])):
+                high, low = op((a_high, a_low), (b_high, b_low))
+                assert [h << 64 | l for h, l in zip(high.tolist(), low.tolist())] == [w % 2**128 for w in want]
+
+    @pytest.mark.parametrize("replicate", [0, 2**32 - 1])
+    def test_one_replicate_batch_is_silent(self, replicate):
+        # A batch of one keeps its words in arrays of one: numpy warns on uint64
+        # scalar overflow, not on array overflow.
+        spec = GinibreSpec(n=5, m=2, field="complex")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = list(_replicate_states(_seed_prefix(spec, 2**64 - 1), [replicate]))
+        assert states == [replicate_rng(spec, 2**64 - 1, replicate).bit_generator.state]
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_seed_prefix_derived_once_per_run(self, monkeypatch, workers):
         # Every batch shares one derivation of the run's fixed words: five
@@ -886,6 +913,38 @@ class TestEdgeEstimate:
         with pytest.raises(ValueError, match=rf"^values must be a non-empty 1-D array, "
                                              rf"got shape {re.escape(str(values.shape))}$"):
             edge_from_values(values)
+
+    @pytest.mark.parametrize("n", [*range(1, 65), 999, 1000, 20000])
+    def test_quantiles_match_numpy_bit_for_bit(self, n):
+        # numpy's 'linear' rule, term for term: on draws, on draws rounded to
+        # two digits (some ties) and on draws of ten values (mostly ties).
+        rng = np.random.default_rng(n)
+        draws = rng.standard_normal(n) + 3
+        for values in (draws, np.round(draws, 2), rng.integers(0, 10, n).astype(np.float64)):
+            est = edge_from_values(values)
+            want = np.quantile(values, [0.05, 0.5, 0.95])
+            assert np.array([est.q05, est.q50, est.q95]).tobytes() == want.tobytes()
+
+    def test_a_nan_makes_every_quantile_nan(self):
+        values = np.array([1.0, np.nan, 0.5, 2.0])
+        est = edge_from_values(values)
+        assert np.isnan(np.quantile(values, [0.05, 0.5, 0.95])).all()
+        assert all(math.isnan(q) for q in (est.q05, est.q50, est.q95))
+
+    def test_edge_runs_leave_numpy_ma_unloaded(self):
+        # np.quantile reaches numpy.ma through np.unique; the edge summary does not.
+        code = ("import contextlib, io, sys; from ginprod.cli import main\n"
+                "for argv in (['simulate', '--m', '2', '--n', '4', '--field', 'complex', '--replicates', '50',\n"
+                "              '--seed', '3', '--workers', '1'],\n"
+                "             ['converge', '--m', '1', '--n-grid', '4,8', '--replicates', '20', '--seed', '3',\n"
+                "              '--workers', '2']):\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        assert main(argv) == 0\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(ginprod.montecarlo.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_edge_from_values_matches_estimate(self):
         # Each convergence row is edge_from_values over that size's top values.

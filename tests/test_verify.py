@@ -116,6 +116,29 @@ class TestFaultInjection:
             ((12, 6), "ratio identity fails: 211848/30083 != 3315498/30083"),
         ]
 
+    def test_zero_stirling_value_is_reported_not_raised(self, monkeypatch):
+        # {12 brace 5} = 0 is the denominator of the ratio checks at (12, 5):
+        # they fail, and their messages say so without dividing by it.
+        real = ginprod.combinatorics.stirling2_column
+
+        def corrupted(col, depth):
+            column = real(col, depth)
+            if col == 5 and depth >= 7:
+                column[7] = 0
+            return column
+
+        monkeypatch.setattr(ginprod.combinatorics, "stirling2_column", corrupted)
+        report = run_verify("quick")
+        assert {f.suite for f in report.failures} == {"stirling"}
+        assert [(f.point, f.message) for f in report.failures] == [
+            ((12, 5), "recurrence 0 != alternating sum 1379400"),
+            ((12, 5), "log-concavity fails: 0^2 < 611501*1323652"),
+            ((11, 5), "ratio identity fails: 0 != 12540/2243"),
+            ((12, 5), "ratio identity fails: 7508501/0 != 611501/0"),
+            ((12, 5), "ratio 7508501/0 exceeds 78"),
+            ((12, 6), "ratio identity fails: 211848/30083 != 6"),
+        ]
+
     @pytest.mark.parametrize("route, values", [
         ("gamma_sum", "gamma_sum=3 falling_sum=2 stirling_beta=2"),
         ("falling_sum", "gamma_sum=2 falling_sum=3 stirling_beta=2"),
