@@ -8,24 +8,47 @@ estimates the largest squared singular value by Monte Carlo.
 
 Each module's ``__all__`` is its public interface; the package exports
 their union, in the order of the chain, under the same names.
+
+``import ginprod`` does not import numpy. The exact modules, which never
+use it, are imported here; the sampler (``montecarlo``, the one exported
+module that needs numpy) is imported on first access to it, to one of
+its names or to ``__all__``, by the module ``__getattr__`` below (PEP
+562). So ``ginprod.cli``, which imports numpy itself, can first start
+its BLAS at one thread (see its docstring).
 """
 
-from . import beta_poly, combinatorics, edge_analysis, moment_engine, montecarlo, verify
+import importlib
+
+from . import beta_poly, combinatorics, edge_analysis, moment_engine, verify
 from .combinatorics import *  # noqa: F403
 from .beta_poly import *  # noqa: F403
 from .moment_engine import *  # noqa: F403
 from .edge_analysis import *  # noqa: F403
-from .montecarlo import *  # noqa: F403
 from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    *combinatorics.__all__,
-    *beta_poly.__all__,
-    *moment_engine.__all__,
-    *edge_analysis.__all__,
-    *montecarlo.__all__,
-    *verify.__all__,
-]
+
+def __getattr__(name: str) -> object:
+    """Import the sampler, and with it numpy, for a name the package does not hold yet.
+
+    Binds the sampler's exports and ``__all__`` here, as the star imports
+    above bind the other modules', so later reads find them directly.
+    ``importlib`` imports the submodule, as ``from . import montecarlo``
+    would first ask this function for it, without end.
+    """
+    montecarlo = importlib.import_module(".montecarlo", __name__)
+    namespace = globals()
+    namespace.update((export, getattr(montecarlo, export)) for export in montecarlo.__all__)
+    namespace["__all__"] = [
+        "__version__",
+        *combinatorics.__all__,
+        *beta_poly.__all__,
+        *moment_engine.__all__,
+        *edge_analysis.__all__,
+        *montecarlo.__all__,
+        *verify.__all__,
+    ]
+    if name not in namespace:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return namespace[name]

@@ -43,6 +43,18 @@ Output contracts:
   failure, 4 internal error (any other exception, reported on one
   stderr line instead of a traceback), 141 a reader closed an output
   pipe early (``ginprod ... | head``; nothing is printed).
+
+BLAS threads: importing this module before numpy sets
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to
+1, so numpy loads its BLAS at one thread. No command runs BLAS at more:
+the exact commands never call it, and sampling holds it at one thread
+anyway (see :func:`montecarlo.blas_pinned`). An OpenBLAS started at more
+threads keeps a worker per extra core busy-waiting for work through the
+first tenth of a second or so of every call, which costs CPU and, where
+it shares the main thread's core, start-up time. So the thread variables
+change neither a command's bits nor its speed. Where numpy was imported
+first (a library caller that imports this module), the variables and
+BLAS are left as they are.
 """
 
 from __future__ import annotations
@@ -61,6 +73,10 @@ from contextlib import contextmanager, suppress
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO
+
+if "numpy" not in sys.modules:
+    # BLAS reads its thread count once, when numpy loads it; see "BLAS threads" above.
+    os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
 import numpy as np
 

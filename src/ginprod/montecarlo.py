@@ -29,7 +29,10 @@ own the cores), so the bits do not depend on ``OPENBLAS_NUM_THREADS``:
 multithreaded BLAS changes the last bits of large complex products. The
 thread control is looked up on the first sampling run; where none is
 found (:func:`blas_pinned` is False) sampling runs unpinned and the bits
-hold only at one BLAS thread count. Runs with fewer batches than cores
+hold only at one BLAS thread count. The pin is for library callers: the
+command line starts BLAS at one thread before numpy loads it (see
+``ginprod.cli``), so the thread variables change no bit of a CLI run,
+pinned or not, where the BLAS reads them. Runs with fewer batches than cores
 pay for this, as they lose BLAS's own parallelism; a worker left a spare
 core wins part of it back with a second thread that draws and decomposes
 beside its first (see Workers below).

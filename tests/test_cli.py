@@ -581,6 +581,42 @@ def test_seeded_documents_say_whether_blas_was_pinned(capsys, monkeypatch, tmp_p
     assert "blas_pinned" not in json.loads(out)["meta"]
 
 
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_after_cli_import(numpy_first):
+    """BLAS's thread count, the process's OS threads (None off Linux) and the three
+    thread variables after ``import ginprod.cli`` in a child started at two BLAS
+    threads, with or without numpy imported first."""
+    code = (f"import json, os, sys\n{'import numpy' if numpy_first else ''}\n"
+            "import ginprod.cli\n"
+            "control = ginprod.montecarlo._blas_threads()\n"
+            "status = open('/proc/self/status').read() if sys.platform.startswith('linux') else ''\n"
+            "threads = [int(line.split()[1]) for line in status.splitlines() if line.startswith('Threads:')]\n"
+            f"print(json.dumps([control and control[0](), (threads or [None])[0], "
+            f"[os.environ[var] for var in {_THREAD_VARS!r}]]))\n")
+    env = {**os.environ, **dict.fromkeys(_THREAD_VARS, "2"), "PYTHONPATH": str(Path(ginprod.cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    blas, threads, values = json.loads(done.stdout)
+    if blas is None:
+        pytest.skip("no BLAS thread control found for this numpy")
+    return blas, threads, values
+
+
+class TestBlasThreads:
+    def test_cli_starts_blas_at_one_thread(self):
+        # No idle BLAS worker: the process has its main thread alone.
+        blas, threads, values = _blas_after_cli_import(numpy_first=False)
+        assert blas == 1
+        assert threads == (1 if sys.platform.startswith("linux") else None)
+        assert values == ["1", "1", "1"]
+
+    def test_numpy_imported_first_keeps_its_threads(self):
+        blas, _, values = _blas_after_cli_import(numpy_first=True)
+        assert blas == 2
+        assert values == ["2", "2", "2"]
+
+
 class TestConvergeCommand:
     def test_emits_table(self, capsys):
         code, out, _ = run_cli(
