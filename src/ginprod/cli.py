@@ -55,12 +55,25 @@ it shares the main thread's core, start-up time. So the thread variables
 change neither a command's bits nor its speed. Where numpy was imported
 first (a library caller that imports this module), the variables and
 BLAS are left as they are.
+
+Start-up: importing this module imports numpy (for the thread variables
+above and ``main``'s ``LinAlgError`` catch) and the four exact modules.
+The sampler (``montecarlo``) and the identity suites (``verify``) are
+registered in ``sys.modules`` and on the package but not executed
+(``importlib.util.LazyLoader``): each runs on the first read of one of
+its names, the sampler in ``simulate`` and ``converge`` and the suites
+in ``verify``. The parser lists every command but adds the options of
+the command being run only, so no other command reads the sampler's
+``--workers`` limits or the suites' profiles. Before Python 3.12 that
+first read takes no lock, so a library caller that imports this module
+should make it from one thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib.util
 import itertools
 import json
 import math
@@ -72,6 +85,7 @@ import sys
 from contextlib import contextmanager, suppress
 from fractions import Fraction
 from pathlib import Path
+from types import ModuleType
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 if "numpy" not in sys.modules:
@@ -80,11 +94,29 @@ if "numpy" not in sys.modules:
 
 import numpy as np
 
-from . import __version__, beta_poly, edge_analysis, moment_engine, montecarlo
-from . import verify as verify_suites
+from . import __version__, beta_poly, edge_analysis, moment_engine
 from .combinatorics import _natural, fuss_catalan
 
 __all__ = ["main", "build_parser"]
+
+
+def _deferred(name: str) -> ModuleType:
+    """Submodule ``name`` of the package, registered in ``sys.modules`` and on the package as
+    an import would, but executed on the first read of one of its attributes (``LazyLoader``)."""
+    qualified = f"{__package__}.{name}"
+    if qualified in sys.modules:
+        return sys.modules[qualified]
+    spec = importlib.util.find_spec(qualified)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[qualified] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+montecarlo = _deferred("montecarlo")
+verify_suites = _deferred("verify")
+
 
 class _Table(NamedTuple):
     """A CSV document: its own '#' metadata lines, a header row and rows of raw values."""
@@ -324,9 +356,9 @@ def _cmd_tailbound(args: argparse.Namespace) -> _Result:
 
 
 def _run_config(args: argparse.Namespace) -> montecarlo.RunConfig:
-    """The Monte Carlo run options; workers from --workers, else the environment."""
-    workers = args.workers if args.workers is not None else montecarlo.default_workers()
-    return montecarlo.RunConfig(replicates=args.replicates, master_seed=args.seed, workers=workers)
+    """The Monte Carlo run options; workers from --workers, else ``RunConfig``'s default."""
+    workers = {} if args.workers is None else {"workers": args.workers}
+    return montecarlo.RunConfig(replicates=args.replicates, master_seed=args.seed, **workers)
 
 
 #: The file that holds a group's memory limit, by the controller list of its line in
@@ -440,17 +472,58 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
     return exit_code, [(args.output, "".join(lines))]
 
 
+#: Each option group: a function giving the ``add_argument`` calls that make it, in help
+#: order. ``main`` builds the running command's groups only, so only ``simulate`` and
+#: ``converge`` read the sampler's constants (in ``run``) and only ``verify`` the suites'.
+_OPTION_GROUPS = {
+    "output": lambda: [("--output", dict(help="write the report to this path instead of stdout"))],
+    "m": lambda: [("--m", dict(type=int, required=True, help="number of factors"))],
+    "n": lambda: [("--n", dict(type=int, required=True, help="matrix size"))],
+    "k": lambda: [("--k", dict(type=int, required=True, help="moment order"))],
+    "grid": lambda: [("--n-grid", dict(
+        type=_parse_grid, required=True,
+        help="comma-separated matrix sizes (ascending for converge), e.g. 64,128,256,512"))],
+    "run": lambda: [
+        ("--field", dict(choices=("real", "complex"), default="real")),
+        ("--replicates", dict(type=int, required=True)),
+        ("--seed", dict(type=int, required=True, help="master seed (unsigned 64-bit)")),
+        ("--workers", dict(type=int, default=None,
+                           help=f"worker threads, at most {montecarlo.MAX_WORKERS}; a worker left a spare core "
+                                "samples on a second thread, the two drawing in turn "
+                                f"(default: ${montecarlo.WORKERS_ENV_VAR} or the usable cores)")),
+    ],
+    "formulas": lambda: [("--all-formulas", dict(
+        action="store_true", help="evaluate all three formulations and cross-check them"))],
+    "threshold": lambda: [
+        ("--z", dict(type=_fraction, required=True,
+                     help="threshold above the edge constant, e.g. 6 or 27/4 or 10.125")),
+        ("--w", dict(type=float, default=None,
+                     help="schedule slope; default is just above the admissible threshold")),
+    ],
+    "files": lambda: [
+        ("--kmax", dict(type=int, default=None, help="also report empirical moments up to this order")),
+        ("--replicate-csv", dict(default=None, help="write per-replicate s1_sq rows to this path")),
+        ("--spectrum-dir", dict(default=None, help="write one full-spectrum CSV per replicate here")),
+    ],
+    "profile": lambda: [
+        ("--profile", dict(choices=verify_suites.PROFILES, default="quick")),
+        ("--json", dict(action="store_true", help="emit a machine-readable JSON report")),
+    ],
+}
+
 #: Every subcommand: its name, its one description (argparse's help and the
-#: quantity-to-command map), its handler and its shared option groups.
+#: quantity-to-command map), its handler and its option groups after ``output``.
 _COMMANDS = (
     ("edge", "spectral-edge constant (m+1)^(m+1)/m^m", _cmd_edge, ("m",)),
-    ("moments", "exact finite-n spectral moments (JSON)", _cmd_moments, ("m", "n", "k")),
+    ("moments", "exact finite-n spectral moments (JSON)", _cmd_moments, ("m", "n", "k", "formulas")),
     ("beta", "edge-polynomial coefficients with two-sided bounds (CSV)", _cmd_beta, ("m", "n", "k")),
     ("dominance", "term decay of the coefficient-weighted moment sum (CSV)", _cmd_dominance, ("m", "n", "k")),
-    ("tailbound", "tail bound on the k_n = ceil(w log n) schedule (CSV)", _cmd_tailbound, ("m", "grid")),
-    ("simulate", "sampled product spectra and their moments (JSON, CSVs)", _cmd_simulate, ("run", "m", "n")),
+    ("tailbound", "tail bound on the k_n = ceil(w log n) schedule (CSV)", _cmd_tailbound,
+     ("m", "grid", "threshold")),
+    ("simulate", "sampled product spectra and their moments (JSON, CSVs)", _cmd_simulate,
+     ("run", "m", "n", "files")),
     ("converge", "largest-value convergence table over an n-grid (CSV)", _cmd_converge, ("run", "m", "grid")),
-    ("verify", "exact identity suites, quick or full grids", _cmd_verify, ()),
+    ("verify", "exact identity suites, quick or full grids", _cmd_verify, ("profile",)),
 )
 
 
@@ -462,7 +535,9 @@ def _quantity_map() -> str:
     return "quantity-to-command map:\n" + "".join(lines)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``ginprod`` parser. Every subcommand is listed with its help line; only
+    ``command``'s options are added, or every subcommand's where it is None."""
     parser = argparse.ArgumentParser(
         prog="ginprod",
         description="Exact moments and edge behaviour of Ginibre-product spectra.",
@@ -471,55 +546,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ginprod {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    # Options shared by several subcommands, each defined once as an argparse parent parser.
-    groups = {name: argparse.ArgumentParser(add_help=False)
-              for name in ("output", "m", "n", "k", "grid", "run")}
-    groups["output"].add_argument("--output", help="write the report to this path instead of stdout")
-    groups["m"].add_argument("--m", type=int, required=True, help="number of factors")
-    groups["n"].add_argument("--n", type=int, required=True, help="matrix size")
-    groups["k"].add_argument("--k", type=int, required=True, help="moment order")
-    groups["grid"].add_argument(
-        "--n-grid", type=_parse_grid, required=True,
-        help="comma-separated matrix sizes (ascending for converge), e.g. 64,128,256,512")
-    run = groups["run"]
-    run.add_argument("--field", choices=("real", "complex"), default="real")
-    run.add_argument("--replicates", type=int, required=True)
-    run.add_argument("--seed", type=int, required=True, help="master seed (unsigned 64-bit)")
-    run.add_argument("--workers", type=int, default=None,
-                     help=f"worker threads, at most {montecarlo.MAX_WORKERS}; a worker left a spare core "
-                          "samples on a second thread, the two drawing in turn "
-                          f"(default: ${montecarlo.WORKERS_ENV_VAR} or the usable cores)")
-
-    commands = {}
-    for name, description, handler, shared in _COMMANDS:
-        parents = [groups["output"], *(groups[group] for group in shared)]
-        commands[name] = sub.add_parser(name, help=description, parents=parents)
-        commands[name].set_defaults(func=handler)
-
-    # Options of one subcommand each.
-    commands["moments"].add_argument("--all-formulas", action="store_true",
-                                     help="evaluate all three formulations and cross-check them")
-    p = commands["tailbound"]
-    p.add_argument("--z", type=_fraction, required=True,
-                   help="threshold above the edge constant, e.g. 6 or 27/4 or 10.125")
-    p.add_argument("--w", type=float, default=None,
-                   help="schedule slope; default is just above the admissible threshold")
-    p = commands["simulate"]
-    p.add_argument("--kmax", type=int, default=None, help="also report empirical moments up to this order")
-    p.add_argument("--replicate-csv", default=None, help="write per-replicate s1_sq rows to this path")
-    p.add_argument("--spectrum-dir", default=None, help="write one full-spectrum CSV per replicate here")
-    p = commands["verify"]
-    p.add_argument("--profile", choices=verify_suites.PROFILES, default="quick")
-    p.add_argument("--json", action="store_true", help="emit a machine-readable JSON report")
-
+    for name, description, handler, groups in _COMMANDS:
+        subparser = sub.add_parser(name, help=description)
+        subparser.set_defaults(func=handler)
+        if command in (None, name):
+            for group in ("output", *groups):
+                for flag, options in _OPTION_GROUPS[group]():
+                    subparser.add_argument(flag, **options)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
+    # The top-level options take no value, so the first word that is not one names the command.
+    parser = build_parser(next((word for word in argv if not word.startswith("-")), ""))
     args = parser.parse_args(argv)
     args.invocation = shlex.join(["ginprod", *argv])
     try:

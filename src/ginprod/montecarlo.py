@@ -628,10 +628,10 @@ def _moment_rows(n: int) -> int:
 
 def _moment_bytes(replicates: int, n: int, k_max: int) -> int:
     """Most bytes held while :func:`moments_from_spectra` runs on a (replicates, n) spectrum
-    array: the spectra, one block of their powers, the (replicates, k_max) per-replicate table,
-    as much again for the deviations the standard errors are taken from, and the buffer of
-    ``np.getbufsize()`` elements numpy's reductions may fill meanwhile."""
-    return 8 * (replicates * n + min(replicates, _moment_rows(n)) * n + 2 * replicates * k_max + np.getbufsize())
+    array: the spectra, one block of their powers, the (replicates, k_max) per-replicate table
+    (its standard errors are taken in place), and the buffer of ``np.getbufsize()`` elements
+    numpy's reductions may fill meanwhile."""
+    return 8 * (replicates * n + min(replicates, _moment_rows(n)) * n + replicates * k_max + np.getbufsize())
 
 
 def moments_from_spectra(spectra: np.ndarray, k_max: int) -> EmpiricalMoments:
@@ -655,7 +655,13 @@ def moments_from_spectra(spectra: np.ndarray, k_max: int) -> EmpiricalMoments:
                 per_replicate[start : start + rows, k] = powers.mean(axis=1)
                 powers *= block
         means = per_replicate.mean(axis=0)
-        ses = per_replicate.std(axis=0, ddof=1) / np.sqrt(replicates) if replicates > 1 else np.zeros(k_max)
+        if replicates > 1:
+            # std(axis=0, ddof=1)'s own steps, taken in the table instead of a copy of it: the same bits.
+            per_replicate -= means
+            per_replicate *= per_replicate
+            ses = np.sqrt(per_replicate.sum(axis=0) / (replicates - 1)) / np.sqrt(replicates)
+        else:
+            ses = np.zeros(k_max)
     nonfinite = ~(np.isfinite(means) & np.isfinite(ses))
     if nonfinite.any():
         k = int(np.argmax(nonfinite)) + 1

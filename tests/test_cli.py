@@ -377,9 +377,9 @@ class TestSimulateCommand:
 
     def test_moment_table_past_memory_is_refused_before_sampling(self, capsys, monkeypatch):
         # The (replicates, n) spectra, a block of their powers, the (replicates, k_max)
-        # float64 table of the moments, the deviations its standard errors are taken from
-        # and numpy's reduction buffer must fit the memory the process can have; nothing
-        # is drawn before the check.
+        # float64 table of the moments, in which its standard errors are taken, and
+        # numpy's reduction buffer must fit the memory the process can have; nothing is
+        # drawn before the check.
         def never(*args, **kwargs):
             raise AssertionError("sampled before the moment table was checked")
 
@@ -388,8 +388,8 @@ class TestSimulateCommand:
         code, out, err = run_cli(capsys, *base, "1000000000000")
         assert (code, out) == (2, "")
         assert re.fullmatch(r"ginprod: error: k_max 1000000000000 needs a 2 x 1000000000000 moment table, "
-                            r"29802\.3 GiB with the spectra, more than the [0-9.]+ GiB this process can have\n", err)
-        monkeypatch.setattr(ginprod.cli, "_available_bytes", lambda: 8 * (2 * 2 + 2 * 2 + 2 * 2 * 64 + np.getbufsize()))
+                            r"14901\.2 GiB with the spectra, more than the [0-9.]+ GiB this process can have\n", err)
+        monkeypatch.setattr(ginprod.cli, "_available_bytes", lambda: 8 * (2 * 2 + 2 * 2 + 2 * 64 + np.getbufsize()))
         code, out, err = run_cli(capsys, *base, "65")
         assert (code, out, err.count("\n")) == (2, "", 1)
         code, _, err = run_cli(capsys, *base, "64")  # a table that fits passes the check, to sampling
@@ -399,7 +399,7 @@ class TestSimulateCommand:
         # 10 real m = 1 replicates at n = 64 on one core sample in one held batch:
         # the (10, 64) result, the draws and the product. With k_max = 10000 the
         # moments need more: the spectra, one block of powers, all ten rows, the
-        # (10, 10000) table twice and numpy's reduction buffer. At one byte below
+        # (10, 10000) table and numpy's reduction buffer. At one byte below
         # that the run is refused before any draw, though its sampling would fit;
         # at that many bytes it passes.
         def never(*args, **kwargs):
@@ -410,7 +410,7 @@ class TestSimulateCommand:
         argv = ("simulate", "--m", "1", "--n", "64", "--replicates", "10", "--seed", "1", "--workers", "1",
                 "--kmax", "10000")
         sampling = 10 * 64 * 8 + 2 * 10 * 64 * 64 * 8
-        need = 8 * (10 * 64 + 10 * 64 + 2 * 10 * 10000 + np.getbufsize())
+        need = 8 * (10 * 64 + 10 * 64 + 10 * 10000 + np.getbufsize())
         assert sampling < need - 1
         monkeypatch.setattr(ginprod.cli, "_available_bytes", lambda: need - 1)
         code, out, err = run_cli(capsys, *argv)
@@ -617,6 +617,43 @@ class TestBlasThreads:
         assert values == ["2", "2", "2"]
 
 
+_LOADS = """
+import contextlib, io, json, sys, types
+import ginprod.cli
+
+def state():
+    # A module registered to load on first use is of a ModuleType subclass until then.
+    modules = [sys.modules.get(f"ginprod.{name}") for name in ("montecarlo", "verify")]
+    return [[module is not None, type(module) is types.ModuleType] for module in modules]
+
+started = state()
+with contextlib.redirect_stdout(io.StringIO()):
+    status = ginprod.cli.main(sys.argv[1:])
+print(json.dumps([started, status, state()]))
+"""
+
+
+@pytest.mark.parametrize("argv, sampler, suites", [
+    (["edge", "--m", "2"], False, False),
+    (["moments", "--m", "2", "--n", "3", "--k", "2", "--all-formulas"], False, False),
+    (["beta", "--m", "2", "--n", "3", "--k", "2"], False, False),
+    (["dominance", "--m", "2", "--n", "5", "--k", "3"], False, False),
+    (["tailbound", "--m", "1", "--z", "6", "--n-grid", "60,120"], False, False),
+    (["verify"], False, True),
+    (["simulate", "--m", "1", "--n", "2", "--replicates", "3", "--seed", "1", "--kmax", "2"], True, False),
+    (["converge", "--m", "1", "--n-grid", "2,4", "--replicates", "3", "--seed", "1"], True, False),
+], ids=lambda value: value[0] if isinstance(value, list) else None)
+def test_each_command_executes_only_the_modules_it_uses(argv, sampler, suites):
+    # ``import ginprod.cli`` registers the sampler and the suites without executing
+    # either; a command executes the one it uses, the exact commands neither.
+    env = {**os.environ, "PYTHONPATH": str(Path(ginprod.cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", _LOADS, *argv], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    started, status, finished = json.loads(done.stdout)
+    assert started == [[True, False], [True, False]]
+    assert (status, finished) == (0, [[True, sampler], [True, suites]])
+
+
 class TestConvergeCommand:
     def test_emits_table(self, capsys):
         code, out, _ = run_cli(
@@ -686,7 +723,32 @@ class TestVerifyCommand:
         assert exc.value.code == 2
 
 
+#: SHA-256 of what each help call prints at COLUMNS=80, as frozen from Python 3.11's argparse.
+_HELP_DIGESTS = {
+    "--help": "2222838f3d752534cea7cea8213805b36e62360257274f4c63d5bdcf04273f3d",
+    "edge --help": "30c7c564170f42762d716711351f1cbf315cb7a3e02b5fe3c6d0d8d259763e38",
+    "moments --help": "b9c21f6e9124750fffeff0fb7cccfa260d55d63abea14877ae2075d59c1a166d",
+    "beta --help": "abc04ee013d1d362c7399d2997cd8bbff074e7f7d1b05913dfcaa7fdd5684508",
+    "dominance --help": "950dea343eb3edbd06909734d31a8e20b1dfb6c94d2a94e08d2b19f4594841f6",
+    "tailbound --help": "2caa101d3c0f586593c2f48699a420f219f3d24fc798e31358c449b9299b0fda",
+    "simulate --help": "75a6f1f3752d2047c7bc5049e12cbb2e8265dfa5e8ae0d611bf67564fbd0a2e8",
+    "converge --help": "b1013f5d99b708370ec91c85787df1fc875ca1cdd48d0f80e13007204f76a225",
+    "verify --help": "9efc13b396bda8e1f268c54ad5a9385580f79ab1b17d03ee25a7d5e02e953b7b",
+}
+
+
 class TestParser:
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse lays out help differently elsewhere")
+    @pytest.mark.parametrize("argv", _HELP_DIGESTS)
+    def test_help_text_is_frozen(self, capsys, monkeypatch, argv):
+        # Each command's parser is built with its own options only; its help and
+        # usage must not change for that, nor the top-level help.
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == _HELP_DIGESTS[argv]
+
     def test_help_lists_commands(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
