@@ -84,7 +84,7 @@ import stat
 import sys
 from contextlib import contextmanager, suppress
 from fractions import Fraction
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from types import ModuleType
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
@@ -366,19 +366,26 @@ def _run_config(args: argparse.Namespace) -> montecarlo.RunConfig:
 _MEMORY_LIMIT_FILES = {"": "/sys/fs/cgroup{}/memory.max", "memory": "/sys/fs/cgroup/memory{}/memory.limit_in_bytes"}
 
 
-def _available_bytes() -> int:
+def _available_bytes() -> float:
     """Memory this process can have, for refusing a run that cannot fit before it starts:
-    the physical memory, lowered to the least limit of its cgroups, v2 ``memory.max`` or v1
-    ``memory.limit_in_bytes``, where such a file holds a number. The files are only read."""
-    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    groups, limits = [], []
+    the physical memory, lowered to the least limit of its cgroups and of each of their
+    ancestors up to the root of the hierarchy, v2 ``memory.max`` or v1
+    ``memory.limit_in_bytes``, where such a file holds a number. Container runtimes and
+    systemd slices usually set the limit on a parent group. Where the physical memory
+    cannot be read (no ``os.sysconf``, as on Windows) the limits alone bound it, and with
+    none either it is infinite, so nothing is refused. The files are only read."""
+    physical, groups, limits = [], [], []
+    with suppress(AttributeError, ValueError, OSError):  # os.sysconf or its names may be missing
+        physical = [os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")]
     with suppress(OSError), open("/proc/self/cgroup") as fh:  # no cgroups, no limits
         groups = [line.strip().split(":", 2) for line in fh]
     for _, controllers, group in groups:
+        group = PurePosixPath("/", group)
         for controller in _MEMORY_LIMIT_FILES.keys() & controllers.split(","):
-            with suppress(OSError), open(_MEMORY_LIMIT_FILES[controller].format(group.rstrip("/"))) as fh:
-                limits.append(fh.read().strip())  # the file may be missing, or read "max"
-    return min([physical, *(int(limit) for limit in limits if limit.isdigit())])
+            for path in (group, *group.parents):
+                with suppress(OSError), open(_MEMORY_LIMIT_FILES[controller].format(str(path).rstrip("/"))) as fh:
+                    limits.append(fh.read().strip())  # the file may be missing, or read "max"
+    return min([*physical, *(int(limit) for limit in limits if limit.isdigit())], default=math.inf)
 
 
 def _refuse_past_memory(specs: list[montecarlo.GinibreSpec], config: montecarlo.RunConfig) -> None:

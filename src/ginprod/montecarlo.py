@@ -4,7 +4,9 @@ One sampler, :func:`collect_spectra`, returns every replicate's squared
 singular values. Pure summarisers turn those arrays into statistics:
 :func:`moments_from_spectra` (spectral moments) and
 :func:`edge_from_values` (the largest value). :func:`convergence_table`
-runs the two along an n-grid.
+runs the two along an n-grid, sampling its points largest first, so that
+each smaller point reuses memory the largest one freed and a run peaks at
+its largest point's arrays (see Buffers below for what those are).
 
 Entry convention: every factor has i.i.d. mean-zero Gaussian entries with
 variance 1/n (standard deviation n^(-1/2)). In the complex case the real
@@ -719,11 +721,20 @@ def convergence_table(
     config: RunConfig,
     field: str = "real",
 ) -> list[ConvergenceRow]:
-    """Edge estimates along an ascending n-grid, with gaps to u_m.
+    """Edge estimates along an ascending n-grid, with gaps to u_m, one row per point in grid order.
 
     The gap u_m - mean(s_1^2) should shrink along a doubling grid up to
     statistical noise; this function only reports, trend assertions live
     with the caller. Every grid point is validated before any sampling.
+
+    The points are sampled largest first, by the bytes :func:`_run_bytes`
+    counts for each, the larger n first where those tie. Each point's
+    spectra are a pure function of (spec, config), so the order changes
+    no value, only the order of allocation: a smaller point fits in the
+    memory the largest freed, so the run peaks at the largest point's
+    arrays, the figure the command line's pre-flight checks. In grid
+    order the allocator does not reuse the smaller points' freed memory
+    for the larger arrays that follow, and the peak is higher.
     """
     n_grid = list(n_grid)
     if not n_grid:
@@ -740,4 +751,6 @@ def convergence_table(
         return ConvergenceRow(n=spec.n, mean_s1sq=est.mean_s1sq, gap=u - est.mean_s1sq,
                               standard_error=est.standard_error, replicates=config.replicates)
 
-    return [row(spec) for spec in specs]
+    largest_first = sorted(specs, key=lambda spec: (_run_bytes(spec, config), spec.n), reverse=True)
+    rows = {spec: row(spec) for spec in largest_first}
+    return [rows[spec] for spec in specs]

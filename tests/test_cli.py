@@ -353,6 +353,14 @@ class TestSimulateCommand:
                                      "/sys/fs/cgroup/j/memory.max": "4194304\n"}, True),
         ("4:memory:/v1\n0::/j\n", {"/sys/fs/cgroup/memory/v1/memory.limit_in_bytes": "4194304\n",
                                      "/sys/fs/cgroup/j/memory.max": "1048576\n"}, True),
+        # an ancestor's limit bounds the group, up to the root of its hierarchy
+        ("0::/jobs/a/\n", {"/sys/fs/cgroup/jobs/memory.max": "1048576\n"}, True),
+        ("0::/jobs/a\n", {"/sys/fs/cgroup/jobs/a/memory.max": "max\n", "/sys/fs/cgroup/memory.max": "1048576\n"},
+         True),
+        ("4:memory:/jobs/a\n", {"/sys/fs/cgroup/memory/jobs/memory.limit_in_bytes": "1048576\n"}, True),
+        ("4:memory:/jobs/a\n", {"/sys/fs/cgroup/memory/jobs/a/memory.limit_in_bytes": "9223372036854771712\n",
+                                  "/sys/fs/cgroup/memory/memory.limit_in_bytes": "1048576\n"}, True),
+        ("0::/jobs/a\n", {"/sys/fs/cgroup/jobs/b/memory.max": "1048576\n"}, False),  # a sibling's limit
     ])
     def test_available_bytes_reads_the_cgroup_limit(self, monkeypatch, cgroup, limit, lowered):
         # Physical memory, lowered to the least limit the process's cgroups set, v2
@@ -365,15 +373,34 @@ class TestSimulateCommand:
         elif limit is not None:
             files[f"/sys/fs/cgroup{group}/memory.max"] = limit
 
+        monkeypatch.setattr(ginprod.cli, "open", self._read_only(files), raising=False)
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        assert ginprod.cli._available_bytes() == (min(physical, 1048576) if lowered else physical)
+
+    @staticmethod
+    def _read_only(files):
+        """An ``open`` that reads the given {path: text} files and refuses to write."""
         def read_only(path, *args, **kwargs):
             assert not args and not kwargs, "opened for more than reading"
             if path not in files:
                 raise FileNotFoundError(path)
             return io.StringIO(files[path])
 
-        monkeypatch.setattr(ginprod.cli, "open", read_only, raising=False)
-        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        assert ginprod.cli._available_bytes() == (min(physical, 1048576) if lowered else physical)
+        return read_only
+
+    def test_runs_where_physical_memory_cannot_be_read(self, capsys, monkeypatch):
+        # Without os.sysconf, as on Windows, a run is bounded by the cgroup
+        # limits alone, and where there are none nothing is refused.
+        monkeypatch.delattr(os, "sysconf")
+        code, out, err = run_cli(capsys, "simulate", "--m", "2", "--n", "4", "--replicates", "5", "--seed", "1")
+        assert (code, err) == (0, "") and json.loads(out)["replicates"] == 5
+        files = {"/proc/self/cgroup": "0::/a\n", "/sys/fs/cgroup/a/memory.max": "1048576\n"}
+        monkeypatch.setattr(ginprod.cli, "open", self._read_only(files), raising=False)
+        assert ginprod.cli._available_bytes() == 1048576
+        files["/sys/fs/cgroup/a/memory.max"] = "max\n"
+        assert ginprod.cli._available_bytes() == float("inf")
+        code, _, err = run_cli(capsys, "simulate", "--m", "2", "--n", "4", "--replicates", "5", "--seed", "1")
+        assert (code, err) == (0, "")
 
     def test_moment_table_past_memory_is_refused_before_sampling(self, capsys, monkeypatch):
         # The (replicates, n) spectra, a block of their powers, the (replicates, k_max)

@@ -988,6 +988,27 @@ class TestConvergenceTable:
         convergence_table(1, [41], config)  # warm up
         assert peak([40, 41]) < peak([41]) + 2000 * 40 * 8 / 2
 
+    def test_grid_is_sampled_largest_first(self, monkeypatch):
+        # Points go to collect_spectra in descending _run_bytes, which need not
+        # follow n: on one core, 6 real m = 2 replicates take one batch of six
+        # at n = 104, two of five at 105 and six of one at 181. The rows still
+        # come back in grid order, each equal to its own point's run.
+        monkeypatch.setattr(ginprod.montecarlo, "_usable_cores", lambda: 1)
+        config = RunConfig(replicates=6, master_seed=SEED, workers=1)
+        sampled, collect = [], ginprod.montecarlo.collect_spectra
+
+        def recording(spec, config):
+            sampled.append(spec.n)
+            return collect(spec, config)
+
+        monkeypatch.setattr(ginprod.montecarlo, "collect_spectra", recording)
+        rows = convergence_table(2, [16, 104, 105, 181], config)
+        assert sampled == [104, 105, 181, 16]
+        need = [_run_bytes(GinibreSpec(n=n, m=2), config) for n in sampled]
+        assert need == sorted(need, reverse=True)
+        assert [row.n for row in rows] == [16, 104, 105, 181]
+        assert rows == [convergence_table(2, [n], config)[0] for n in [16, 104, 105, 181]]
+
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ValueError):
             convergence_table(1, [32, 16], RunConfig(replicates=2, master_seed=SEED))
