@@ -103,10 +103,15 @@ fixed words, and each batch mixes only r into that pool, for all its
 replicates at once, by numpy's seeding arithmetic (frozen by its RNG
 policy, NEP 19). PCG64's own seeding step, inc = 2 seq + 1 and state =
 (inc + seed) x multiplier + inc mod 2^128, runs over the batch too, on
-(high, low) uint64 word arrays, so a replicate costs only the joining of
-its words into Python ints. One generator per batch is set to each state
-in turn. The draws are bit-identical to :func:`replicate_rng`, which
-stays the contract's definition and the tests' reference.
+(high, low) uint64 word arrays. One generator per batch is set to each
+state in turn, by writing its four words into the generator's (state,
+inc) pair through a uint64 view of it: no Python int is made per
+replicate. The order those words lie in is found once per process by a
+probe (:func:`_pcg64_word_order`), which writes a known state and reads
+it back through numpy's public ``state`` getter; where no order reads
+back, each state goes through the public setter instead, with the same
+bits. The draws are bit-identical to :func:`replicate_rng`, which stays
+the contract's definition and the tests' reference.
 """
 
 from __future__ import annotations
@@ -167,8 +172,9 @@ MOMENT_BLOCK_BYTES = 1 << 20
 #: in ``numpy/_core/include/numpy/ndarraytypes.h`` (see the module docstring).
 SVD_GIL_THRESHOLD = 500
 
-#: Peak bytes one replicate adds while its batch's streams are derived (hash
-#: and state words, Python ints): about 410 measured with ``ru_maxrss``, rounded up.
+#: Peak bytes one replicate adds while its batch's streams are derived, all of it uint32
+#: and uint64 word arrays: 220 measured with ``tracemalloc`` and with ``ru_maxrss``. 512 bounds
+#: that from above; a lower figure would change batch sizes and the pre-flight memory figures.
 SEED_BYTES = 512
 
 _FIELD_CODES = {"real": 0, "complex": 1}
@@ -344,14 +350,19 @@ def _mul128(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
     return high, mid << 32 | p00 & _LOW32
 
 
-def _replicate_states(prefix: tuple, replicates: Sequence[int]) -> Iterator[dict]:
-    """Yield the PCG64 state of ``replicate_rng(spec, master_seed, r)`` for each r.
+def _replicate_states(prefix: tuple, replicates: Sequence[int]) -> np.ndarray:
+    """The PCG64 states of ``replicate_rng(spec, master_seed, r)`` for each r, shape (len(replicates), 4).
 
     ``prefix`` is ``_seed_prefix(spec, master_seed)``. Only r is mixed here,
     as wrapping uint32 arrays over all r at once: into the four pool words,
     then into ``generate_state(4, np.uint64)``'s eight. PCG64's seeding runs
     on the (high, low) uint64 words of its 128-bit numbers, over all r at
     once too. Every r must be below 2**32, a single entropy word.
+
+    Row i holds the uint64 words of r's (state, inc) pair in the order numpy
+    keeps them in memory (:func:`_pcg64_word_order`), so that
+    ``_state_words(bit_generator)[:] = row`` sets a generator to it; where
+    the probe found no order, in (state high, state low, inc high, inc low).
     """
     seq, consts = prefix
     r = np.asarray(replicates, dtype=np.uint32)[:, None]
@@ -363,10 +374,66 @@ def _replicate_states(prefix: tuple, replicates: Sequence[int]) -> Iterator[dict
     # PCG64's srandom: state 0, inc = 2 * seq + 1, step, add the seed, step.
     inc = (seq_high << 1 | seq_low >> 63, seq_low << 1 | 1)
     state = _add128(_mul128(_add128(inc, (seed_high, seed_low)), _PCG64_MULT_WORDS), inc)
-    for state_high, state_low, inc_high, inc_low in zip(*(w.tolist() for w in (*state, *inc))):
-        yield {"bit_generator": "PCG64", "state": {"state": state_high << 64 | state_low,
-                                                   "inc": inc_high << 64 | inc_low},
-               "has_uint32": 0, "uinteger": 0}
+    pair = (*state, *inc)
+    return np.stack([pair[i] for i in _pcg64_word_order() or range(4)], axis=1)
+
+
+def _pair_view(bit_generator: np.random.PCG64) -> np.ndarray:
+    """A writable uint64 view of the four words of ``bit_generator``'s (state, inc) pair,
+    valid while the generator lives. The struct at numpy's ``ctypes.state_address`` starts
+    with a pointer to that pair."""
+    pair = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address).value
+    return np.frombuffer((ctypes.c_uint64 * 4).from_address(pair), dtype=np.uint64)
+
+
+@functools.cache
+def _pcg64_word_order() -> tuple[int, int, int, int] | None:
+    """The order of the words of numpy's PCG64 (state, inc) pair in memory, as indices into
+    (state high, state low, inc high, inc low), or None where neither order below holds.
+
+    A native ``__uint128_t`` keeps its low word first on a little-endian
+    machine; numpy's emulated 128-bit struct (as on MSVC builds), and a
+    native one on a big-endian machine, keep the high word first. The probe
+    writes a known state in each order through :func:`_pair_view` and takes
+    the first that numpy's public ``state`` getter reads back. Run once, on
+    the first sampling run, so importing the package never pays for it.
+    """
+    # (state high, state low, inc high, inc low): four distinct words, so no wrong order reads back.
+    known = (0x0123456789ABCDEF, 0xFEDCBA9876543210, 0x0F1E2D3C4B5A6978, 0x8796A5B4C3D2E1F1)
+    want = {"state": known[0] << 64 | known[1], "inc": known[2] << 64 | known[3]}
+    bit_generator = np.random.PCG64(0)
+    words = _pair_view(bit_generator)
+    for order in ((1, 0, 3, 2), (0, 1, 2, 3)):
+        words[:] = [known[i] for i in order]
+        if bit_generator.state["state"] == want:
+            return order
+    return None
+
+
+class _StateSetter:
+    """Stands in for :func:`_pair_view` where the probe found no word order: ``setter[:] = row``
+    joins a row of (state high, state low, inc high, inc low) words into numpy's public setter."""
+
+    def __init__(self, bit_generator: np.random.PCG64) -> None:
+        self.bit_generator = bit_generator
+
+    def __setitem__(self, index: slice, row: np.ndarray) -> None:
+        state_high, state_low, inc_high, inc_low = row.tolist()
+        self.bit_generator.state = {"bit_generator": "PCG64",
+                                    "state": {"state": state_high << 64 | state_low, "inc": inc_high << 64 | inc_low},
+                                    "has_uint32": 0, "uinteger": 0}
+
+
+def _state_words(bit_generator: np.random.PCG64) -> np.ndarray | _StateSetter:
+    """The target that ``target[:] = row``, for a row of :func:`_replicate_states`, sets
+    ``bit_generator``'s state through: a view of its (state, inc) words (:func:`_pair_view`)
+    where the probe found their order, else a :class:`_StateSetter`.
+
+    The word write leaves the generator's buffered 32-bit draw alone. A
+    generator the draw stage seeds has none, and float64 normals, the only
+    draws it makes, never buffer one, so both ways give the same bits.
+    """
+    return _StateSetter(bit_generator) if _pcg64_word_order() is None else _pair_view(bit_generator)
 
 
 def _draw_shape(spec: GinibreSpec) -> tuple[int, int, int, int]:
@@ -440,15 +507,16 @@ def _draw_stage(spec: GinibreSpec, prefix: tuple, batch: range, buffers: tuple) 
     draws, product, spare, factor = (a if a is None else a[: len(batch)] for a in buffers)
     # Seeded from the run's sequence, so no OS entropy is read; each replicate's state replaces it.
     rng = np.random.Generator(np.random.PCG64(prefix[0]))
+    words = _state_words(rng.bit_generator)
     states = _replicate_states(prefix, np.arange(batch.start, batch.stop))
     if draws is None:  # streamed: the chain runs per replicate, drawing each factor where it goes
         for i, state in enumerate(states):
-            rng.bit_generator.state = state
+            words[:] = state
             _chain(spec, product[i : i + 1], spare, factor, lambda j, out, free: _draw_factor(spec, rng, out, free))
         return product
-    bit_generator, standard_normal = rng.bit_generator, rng.standard_normal
+    standard_normal = rng.standard_normal
     for row, state in zip(draws, states):
-        bit_generator.state = state
+        words[:] = state
         standard_normal(out=row)
     return _chain(spec, product, spare, factor, lambda j, out, free: _entries(spec, draws[:, j], out))
 

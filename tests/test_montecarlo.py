@@ -31,9 +31,11 @@ from ginprod.montecarlo import (
     _blas_threads,
     _moment_bytes,
     _mul128,
+    _pcg64_word_order,
     _replicate_states,
     _run_bytes,
     _seed_prefix,
+    _state_words,
     blas_pinned,
     collect_spectra,
     convergence_table,
@@ -563,6 +565,13 @@ class TestScheduling:
                 assert (buffers[0] is None) == streamed
 
 
+def _written_state(words):
+    """The public state of a fresh PCG64 after the draw stage's write of a row of ``_replicate_states``."""
+    bit_generator = np.random.PCG64(0)
+    _state_words(bit_generator)[:] = words
+    return bit_generator.state
+
+
 class TestSeeding:
     def test_same_replicate_reproduces(self):
         # Replicate 17 is the same in a run of 18 and in a run of 40.
@@ -587,15 +596,20 @@ class TestSeeding:
         # The sampler's bulk-derived states are the contract's generators, bit
         # for bit, at the extremes of the seed and the replicate index. Sizes
         # of two 32-bit words move the hash constant of r's mixing round.
+        # Each state is written as the draw stage writes it, so the word order
+        # the probe found is checked too; numpy keeps one of the two it knows.
+        assert _pcg64_word_order() in ((1, 0, 3, 2), (0, 1, 2, 3))
         replicates = [*range(64), 2**20, 2**32 - 1]
         for n in (7, 2**32, 2**40):
             spec = GinibreSpec(n=n, m=m, field=field)
             for master_seed in (0, 1, 2**32 - 1, 2**32, 2**64 - 1):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")  # wrapping uint32 arithmetic must stay silent
-                    states = list(_replicate_states(_seed_prefix(spec, master_seed), replicates))
-                want = [replicate_rng(spec, master_seed, r).bit_generator.state for r in replicates]
-                assert states == want, (n, master_seed)
+                    states = _replicate_states(_seed_prefix(spec, master_seed), replicates)
+                assert states.shape == (len(replicates), 4)
+                for r, state in zip(replicates, states):
+                    want = replicate_rng(spec, master_seed, r).bit_generator.state
+                    assert _written_state(state) == want, (n, master_seed, r)
 
     def test_word_arithmetic_matches_python_ints(self):
         # PCG64's seeding runs on (high, low) uint64 words: every pair of words
@@ -619,8 +633,36 @@ class TestSeeding:
         spec = GinibreSpec(n=5, m=2, field="complex")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            states = list(_replicate_states(_seed_prefix(spec, 2**64 - 1), [replicate]))
-        assert states == [replicate_rng(spec, 2**64 - 1, replicate).bit_generator.state]
+            (state,) = _replicate_states(_seed_prefix(spec, 2**64 - 1), [replicate])
+        assert _written_state(state) == replicate_rng(spec, 2**64 - 1, replicate).bit_generator.state
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_setter_fallback_gives_the_same_bits(self, monkeypatch, workers):
+        # Where the probe finds no word order, every state goes through numpy's
+        # public setter instead of the word write: a held and a streamed run keep their bits.
+        held, streamed = GinibreSpec(n=4, m=2, field="complex"), GinibreSpec(n=300, m=1, field="complex")
+        assert not _batches(held, RunConfig(2000, SEED, workers))[2]
+        assert _batches(streamed, RunConfig(3, SEED, workers))[2]
+        want = [_spectra(held, 2000, workers), _spectra(streamed, 3, workers)]
+        monkeypatch.setattr(ginprod.montecarlo, "_pcg64_word_order", lambda: None)
+        assert isinstance(_state_words(np.random.PCG64(0)), ginprod.montecarlo._StateSetter)
+        assert np.array_equal(_spectra(held, 2000, workers), want[0])
+        assert np.array_equal(_spectra(streamed, 3, workers), want[1])
+
+    def test_word_write_leaves_no_buffered_draw(self, monkeypatch):
+        # The word write sets only (state, inc), not the buffered 32-bit draw the
+        # setter clears: after a held batch every generator still holds none.
+        generators = []
+
+        def state_words(bit_generator):
+            generators.append(bit_generator)
+            return _state_words(bit_generator)
+
+        monkeypatch.setattr(ginprod.montecarlo, "_state_words", state_words)
+        _spectra(GinibreSpec(n=4, m=2, field="complex"), 2000)
+        assert generators
+        for bit_generator in generators:
+            assert (bit_generator.state["has_uint32"], bit_generator.state["uinteger"]) == (0, 0)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_seed_prefix_derived_once_per_run(self, monkeypatch, workers):
