@@ -82,9 +82,9 @@ import re
 import shlex
 import stat
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from fractions import Fraction
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 from types import ModuleType
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
@@ -361,55 +361,17 @@ def _run_config(args: argparse.Namespace) -> montecarlo.RunConfig:
     return montecarlo.RunConfig(replicates=args.replicates, master_seed=args.seed, **workers)
 
 
-#: The file that holds a group's memory limit, by the controller list of its line in
-#: /proc/self/cgroup: the cgroup v2 hierarchy lists none, a v1 memory group ``memory``.
-_MEMORY_LIMIT_FILES = {"": "/sys/fs/cgroup{}/memory.max", "memory": "/sys/fs/cgroup/memory{}/memory.limit_in_bytes"}
-
-
-def _available_bytes() -> float:
-    """Memory this process can have, for refusing a run that cannot fit before it starts:
-    the physical memory, lowered to the least limit of its cgroups and of each of their
-    ancestors up to the root of the hierarchy, v2 ``memory.max`` or v1
-    ``memory.limit_in_bytes``, where such a file holds a number. Container runtimes and
-    systemd slices usually set the limit on a parent group. Where the physical memory
-    cannot be read (no ``os.sysconf``, as on Windows) the limits alone bound it, and with
-    none either it is infinite, so nothing is refused. The files are only read."""
-    physical, groups, limits = [], [], []
-    with suppress(AttributeError, ValueError, OSError):  # os.sysconf or its names may be missing
-        physical = [os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")]
-    with suppress(OSError), open("/proc/self/cgroup") as fh:  # no cgroups, no limits
-        groups = [line.strip().split(":", 2) for line in fh]
-    for _, controllers, group in groups:
-        group = PurePosixPath("/", group)
-        for controller in _MEMORY_LIMIT_FILES.keys() & controllers.split(","):
-            for path in (group, *group.parents):
-                with suppress(OSError), open(_MEMORY_LIMIT_FILES[controller].format(str(path).rstrip("/"))) as fh:
-                    limits.append(fh.read().strip())  # the file may be missing, or read "max"
-    return min([*physical, *(int(limit) for limit in limits if limit.isdigit())], default=math.inf)
-
-
-def _refuse_past_memory(specs: list[montecarlo.GinibreSpec], config: montecarlo.RunConfig) -> None:
-    """Refuse, before any draw, runs of which the largest would not fit the memory this process can
-    have: its result array and its workers' buffers, as :func:`montecarlo._run_bytes` counts them."""
-    need, n = max((montecarlo._run_bytes(spec, config), spec.n) for spec in specs)
-    available = _available_bytes()
-    if need > available:
-        raise ValueError(f"sampling {config.replicates} replicates at n = {n} needs {need / 2**30:.1f} GiB "
-                         f"of arrays, more than the {available / 2**30:.1f} GiB this process can have")
-
-
 def _cmd_simulate(args: argparse.Namespace) -> _Result:
     spec = montecarlo.GinibreSpec(n=args.n, m=args.m, field=args.field)
     config = _run_config(args)
     if args.kmax is not None:  # refuse a bad order, or moments past the memory, before sampling
         _natural("k_max", args.kmax, 1)
-        need, available = montecarlo._moment_bytes(config.replicates, spec.n, args.kmax), _available_bytes()
+        need, available = montecarlo._moment_bytes(config.replicates, spec.n, args.kmax), montecarlo._available_bytes()
         if need > available:
             raise ValueError(f"k_max {args.kmax} needs a {config.replicates} x {args.kmax} moment table, "
                              f"{need / 2**30:.1f} GiB with the spectra, more than the "
                              f"{available / 2**30:.1f} GiB this process can have")
-    _refuse_past_memory([spec], config)
-    spectra = montecarlo.collect_spectra(spec, config)
+    spectra = montecarlo.collect_spectra(spec, config)  # refuses a run past the memory before sampling
     edge = montecarlo.edge_from_values(spectra[:, 0])
     u = edge_analysis.edge_constant(args.m).u
     summary: dict = {
@@ -453,7 +415,6 @@ def _cmd_simulate(args: argparse.Namespace) -> _Result:
 
 def _cmd_converge(args: argparse.Namespace) -> _Result:
     config = _run_config(args)
-    _refuse_past_memory([montecarlo.GinibreSpec(n=n, m=args.m, field=args.field) for n in args.n_grid], config)
     rows = montecarlo.convergence_table(args.m, args.n_grid, config, field=args.field)
     table = _Table(
         {"m": args.m, "field": args.field, "u": edge_analysis.edge_constant(args.m).u},

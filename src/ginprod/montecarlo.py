@@ -95,7 +95,15 @@ here once:
   runs the chain once per replicate, drawing each factor where the chain
   writes it, a complex factor's parts in whichever product-sized buffer
   is free. It holds b + 2 n x n arrays, three at b = 1 for any m; at
-  m = 1 the rows alone, plus the spare for complex entries.
+  m = 1 the rows alone, plus the spare for complex entries. Each thread's
+  stacked SVD adds one more: numpy copies each matrix it decomposes into
+  an n x n work array of the entry dtype for LAPACK.
+- Memory. Before it allocates, seeds or starts a thread, a run is refused
+  (ValueError) where the arrays it holds at once exceed the memory this
+  process can have, the physical memory lowered to its cgroups' limits
+  (:func:`_available_bytes`, read on the first run). The count (:func:`_run_bytes`) is the
+  result, the buffers above by the rule they are allocated by, and each
+  thread's SVD copy. Library calls are refused as command-line ones are.
 
 The streams are derived in bulk: once per run, numpy's own
 ``SeedSequence(master_seed, spawn_key=(n, m, field))`` mixes the run's
@@ -123,8 +131,9 @@ import importlib
 import math
 import os
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from pathlib import PurePosixPath
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -567,14 +576,50 @@ def _batches(spec: GinibreSpec, config: RunConfig) -> tuple[int, int, bool, int]
 def _run_bytes(spec: GinibreSpec, config: RunConfig) -> int:
     """Bytes of the arrays a run holds at once: its (replicates, n) result, the draws, spare
     and factor of each of its workers and the product array of each of its threads
-    (:func:`_buffer_shapes`), made for a full batch, the largest. The decomposition's
-    output and workspace, a few arrays of one batch's values, are not counted."""
+    (:func:`_buffer_shapes`), made for a full batch, the largest, and the n x n copy of the
+    matrix each thread's stacked SVD is decomposing, which numpy makes for LAPACK. The
+    decomposition's output, a few arrays of one batch's values, and LAPACK's workspace,
+    O(n) values, are not counted."""
     size, _, streamed, threads = _batches(spec, config)
     draws, product, spare, factor = (
         0 if shape is None else math.prod(shape[0]) * np.dtype(shape[1]).itemsize
         for shape in _buffer_shapes(spec, size, streamed)
     )
-    return config.replicates * spec.n * 8 + min(config.workers, threads) * (draws + spare + factor) + threads * product
+    svd_copy = spec.n**2 * np.dtype(_ENTRY_DTYPES[spec.field]).itemsize
+    return (config.replicates * spec.n * 8 + min(config.workers, threads) * (draws + spare + factor)
+            + threads * (product + svd_copy))
+
+
+#: The file that holds a group's memory limit, by the controller list of its line in
+#: /proc/self/cgroup: the cgroup v2 hierarchy lists none, a v1 memory group ``memory``.
+_MEMORY_LIMIT_FILES = {"": "/sys/fs/cgroup{}/memory.max", "memory": "/sys/fs/cgroup/memory{}/memory.limit_in_bytes"}
+
+
+@functools.cache
+def _available_bytes() -> float:
+    """Memory this process can have, for refusing a run that cannot fit before it starts:
+    the physical memory, lowered to the least limit of its cgroups and of each of their
+    ancestors up to the root of the hierarchy, v2 ``memory.max`` or v1
+    ``memory.limit_in_bytes``, where such a file holds a number. Container runtimes and
+    systemd slices usually set the limit on a parent group. Where the physical memory
+    cannot be read (no ``os.sysconf``, as on Windows) the limits alone bound it, and with
+    none either it is infinite, so nothing is refused. The files are only read.
+
+    Read once, on the first sampling run, so a limit changed later is not seen: the reads
+    cost a one-replicate run as much as its sampling, and several times more where other
+    runs' threads wait on the GIL each read releases."""
+    physical, groups, limits = [], [], []
+    with suppress(AttributeError, ValueError, OSError):  # os.sysconf or its names may be missing
+        physical = [os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")]
+    with suppress(OSError), open("/proc/self/cgroup") as fh:  # no cgroups, no limits
+        groups = [line.strip().split(":", 2) for line in fh]
+    for _, controllers, group in groups:
+        group = PurePosixPath("/", group)
+        for controller in _MEMORY_LIMIT_FILES.keys() & controllers.split(","):
+            for path in (group, *group.parents):
+                with suppress(OSError), open(_MEMORY_LIMIT_FILES[controller].format(str(path).rstrip("/"))) as fh:
+                    limits.append(fh.read().strip())  # the file may be missing, or read "max"
+    return min([*physical, *(int(limit) for limit in limits if limit.isdigit())], default=math.inf)
 
 
 @functools.cache
@@ -648,7 +693,14 @@ def collect_spectra(spec: GinibreSpec, config: RunConfig) -> np.ndarray:
     reduces it with the lock released; the calling thread is the first,
     and a worker the run leaves a core has a second (see the module
     docstring). BLAS runs at one thread meanwhile (see :func:`blas_pinned`).
+
+    A run whose arrays (:func:`_run_bytes`) exceed the memory this process
+    can have raises ValueError before it allocates, seeds or starts a thread.
     """
+    need, available = _run_bytes(spec, config), _available_bytes()
+    if need > available:
+        raise ValueError(f"sampling {config.replicates} replicates at n = {spec.n} needs {need / 2**30:.1f} GiB "
+                         f"of arrays, more than the {available / 2**30:.1f} GiB this process can have")
     spectra = np.empty((config.replicates, spec.n))
     prefix = _seed_prefix(spec, config.master_seed)
     size, _, streamed, threads = _batches(spec, config)
@@ -800,9 +852,11 @@ def convergence_table(
     spectra are a pure function of (spec, config), so the order changes
     no value, only the order of allocation: a smaller point fits in the
     memory the largest freed, so the run peaks at the largest point's
-    arrays, the figure the command line's pre-flight checks. In grid
-    order the allocator does not reuse the smaller points' freed memory
-    for the larger arrays that follow, and the peak is higher.
+    arrays, the figure :func:`collect_spectra` checks before it samples.
+    So a grid whose largest point does not fit is refused, naming that
+    point, before any point is drawn. In grid order the allocator does not
+    reuse the smaller points' freed memory for the larger arrays that
+    follow, and the peak is higher.
     """
     n_grid = list(n_grid)
     if not n_grid:

@@ -373,9 +373,10 @@ class TestSimulateCommand:
         elif limit is not None:
             files[f"/sys/fs/cgroup{group}/memory.max"] = limit
 
-        monkeypatch.setattr(ginprod.cli, "open", self._read_only(files), raising=False)
+        monkeypatch.setattr(ginprod.montecarlo, "open", self._read_only(files), raising=False)
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        assert ginprod.cli._available_bytes() == (min(physical, 1048576) if lowered else physical)
+        read = ginprod.montecarlo._available_bytes.__wrapped__  # not the figure cached on the first run
+        assert read() == (min(physical, 1048576) if lowered else physical)
 
     @staticmethod
     def _read_only(files):
@@ -390,15 +391,17 @@ class TestSimulateCommand:
 
     def test_runs_where_physical_memory_cannot_be_read(self, capsys, monkeypatch):
         # Without os.sysconf, as on Windows, a run is bounded by the cgroup
-        # limits alone, and where there are none nothing is refused.
+        # limits alone, and where there are none nothing is refused. Each run
+        # reads them afresh here, not the figure cached on the first run.
         monkeypatch.delattr(os, "sysconf")
+        monkeypatch.setattr(ginprod.montecarlo, "_available_bytes", ginprod.montecarlo._available_bytes.__wrapped__)
         code, out, err = run_cli(capsys, "simulate", "--m", "2", "--n", "4", "--replicates", "5", "--seed", "1")
         assert (code, err) == (0, "") and json.loads(out)["replicates"] == 5
         files = {"/proc/self/cgroup": "0::/a\n", "/sys/fs/cgroup/a/memory.max": "1048576\n"}
-        monkeypatch.setattr(ginprod.cli, "open", self._read_only(files), raising=False)
-        assert ginprod.cli._available_bytes() == 1048576
+        monkeypatch.setattr(ginprod.montecarlo, "open", self._read_only(files), raising=False)
+        assert ginprod.montecarlo._available_bytes() == 1048576
         files["/sys/fs/cgroup/a/memory.max"] = "max\n"
-        assert ginprod.cli._available_bytes() == float("inf")
+        assert ginprod.montecarlo._available_bytes() == float("inf")
         code, _, err = run_cli(capsys, "simulate", "--m", "2", "--n", "4", "--replicates", "5", "--seed", "1")
         assert (code, err) == (0, "")
 
@@ -416,7 +419,8 @@ class TestSimulateCommand:
         assert (code, out) == (2, "")
         assert re.fullmatch(r"ginprod: error: k_max 1000000000000 needs a 2 x 1000000000000 moment table, "
                             r"14901\.2 GiB with the spectra, more than the [0-9.]+ GiB this process can have\n", err)
-        monkeypatch.setattr(ginprod.cli, "_available_bytes", lambda: 8 * (2 * 2 + 2 * 2 + 2 * 64 + np.getbufsize()))
+        monkeypatch.setattr(ginprod.montecarlo, "_available_bytes",
+                            lambda: 8 * (2 * 2 + 2 * 2 + 2 * 64 + np.getbufsize()))
         code, out, err = run_cli(capsys, *base, "65")
         assert (code, out, err.count("\n")) == (2, "", 1)
         code, _, err = run_cli(capsys, *base, "64")  # a table that fits passes the check, to sampling
@@ -424,60 +428,63 @@ class TestSimulateCommand:
 
     def test_moments_past_memory_are_refused_even_where_sampling_fits(self, capsys, monkeypatch):
         # 10 real m = 1 replicates at n = 64 on one core sample in one held batch:
-        # the (10, 64) result, the draws and the product. With k_max = 10000 the
-        # moments need more: the spectra, one block of powers, all ten rows, the
-        # (10, 10000) table and numpy's reduction buffer. At one byte below
-        # that the run is refused before any draw, though its sampling would fit;
-        # at that many bytes it passes.
+        # the (10, 64) result, the draws, the product and the SVD's copy of one
+        # matrix. With k_max = 10000 the moments need more: the spectra, one block
+        # of powers, all ten rows, the (10, 10000) table and numpy's reduction
+        # buffer. At one byte below that the run is refused before any draw,
+        # though its sampling would fit; at that many bytes it passes, and its
+        # sampling too, to the first draw.
         def never(*args, **kwargs):
             raise AssertionError("sampled before the moments' memory was checked")
 
         monkeypatch.setattr(ginprod.montecarlo, "_usable_cores", lambda: 1)
-        monkeypatch.setattr(ginprod.montecarlo, "collect_spectra", never)
+        monkeypatch.setattr(ginprod.montecarlo, "_draw_stage", never)
         argv = ("simulate", "--m", "1", "--n", "64", "--replicates", "10", "--seed", "1", "--workers", "1",
                 "--kmax", "10000")
-        sampling = 10 * 64 * 8 + 2 * 10 * 64 * 64 * 8
+        sampling = 10 * 64 * 8 + 2 * 10 * 64 * 64 * 8 + 64 * 64 * 8
         need = 8 * (10 * 64 + 10 * 64 + 10 * 10000 + np.getbufsize())
         assert sampling < need - 1
-        monkeypatch.setattr(ginprod.cli, "_available_bytes", lambda: need - 1)
+        monkeypatch.setattr(ginprod.montecarlo, "_available_bytes", lambda: need - 1)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("ginprod: error: k_max 10000 needs a 10 x 10000 moment table, ")
-        monkeypatch.setattr(ginprod.cli, "_available_bytes", lambda: need)
+        monkeypatch.setattr(ginprod.montecarlo, "_available_bytes", lambda: need)
         code, _, err = run_cli(capsys, *argv)
         assert (code, err) == (4, "ginprod: internal error: AssertionError: "
                                   "sampled before the moments' memory was checked\n")
 
     @pytest.mark.parametrize("argv, cores, need", [
+        # Every thread's stacked SVD also copies the matrix it decomposes: one
+        # n x n array of the entry dtype a thread, the last term of each need.
         # Held, one worker on one core, one batch of 23: the (23, 6) result, then
         # draws, product, spare and factor, m + 3 = 5 arrays of 6 x 6 a replicate.
         (("simulate", "--m", "2", "--n", "6", "--replicates", "23", "--workers", "1"), 1,
-         23 * 6 * 8 + 23 * 5 * 36 * 8),
+         23 * 6 * 8 + 23 * 5 * 36 * 8 + 36 * 8),
         # On two cores its two threads take floor batches capped at their share
         # of 12: the worker's draws, spare and factor and each thread's product,
         # m + 4 = 6 arrays a replicate of a batch.
         (("simulate", "--m", "2", "--n", "6", "--replicates", "23", "--workers", "1"), 2,
-         23 * 6 * 8 + 12 * 6 * 36 * 8),
+         23 * 6 * 8 + 12 * 6 * 36 * 8 + 2 * 36 * 8),
         # Streamed complex m = 2 at n = 200: eight workers, each with a product
         # array for its floor batch of three and a spare and a factor of one.
         (("simulate", "--m", "2", "--n", "200", "--field", "complex", "--replicates", "25", "--workers", "8"), 2,
-         25 * 200 * 8 + 8 * 5 * 200**2 * 16),
+         25 * 200 * 8 + 8 * 5 * 200**2 * 16 + 8 * 200**2 * 16),
         # At 16 cores every worker has a helper: 16 threads cap a batch at the
         # share of two, and the 13 batches start 13 threads, five of them
         # helpers. Eight spares and factors of one, 13 product arrays of two.
         (("simulate", "--m", "2", "--n", "200", "--field", "complex", "--replicates", "25", "--workers", "8"), 16,
-         25 * 200 * 8 + (8 * 2 + 13 * 2) * 200**2 * 16),
+         25 * 200 * 8 + (8 * 2 + 13 * 2) * 200**2 * 16 + 13 * 200**2 * 16),
         # Streamed at one worker on one core, 25 batches of one: a product, a
         # spare and a factor. On two cores its two threads take floor batches
         # of three: a spare and a factor of one and two product arrays of three.
         (("simulate", "--m", "2", "--n", "200", "--field", "complex", "--replicates", "25", "--workers", "1"), 1,
-         25 * 200 * 8 + 3 * 200**2 * 16),
+         25 * 200 * 8 + 3 * 200**2 * 16 + 200**2 * 16),
         (("simulate", "--m", "2", "--n", "200", "--field", "complex", "--replicates", "25", "--workers", "1"), 2,
-         25 * 200 * 8 + (2 + 2 * 3) * 200**2 * 16),
+         25 * 200 * 8 + (2 + 2 * 3) * 200**2 * 16 + 2 * 200**2 * 16),
         # The grid's largest point: held real m = 1 at n = 8, on two threads in
         # floor batches capped at the share of five: the draws and two products.
         (("converge", "--m", "1", "--n-grid", "4,8", "--replicates", "10", "--workers", "1"), 2,
-         10 * 8 * 8 + 5 * 3 * 64 * 8),
+         10 * 8 * 8 + 5 * 3 * 64 * 8 + 2 * 64 * 8),
     ])
     def test_run_past_memory_is_refused_before_sampling(self, capsys, monkeypatch, argv, cores, need):
         # The result array and every worker's buffers must fit the memory the
@@ -486,16 +493,25 @@ class TestSimulateCommand:
             raise AssertionError("sampled before the run's memory was checked")
 
         monkeypatch.setattr(ginprod.montecarlo, "_usable_cores", lambda: cores)
-        monkeypatch.setattr(ginprod.montecarlo, "collect_spectra", never)
-        monkeypatch.setattr(ginprod.cli, "_available_bytes", lambda: need - 1)
+        monkeypatch.setattr(ginprod.montecarlo, "_draw_stage", never)
+        monkeypatch.setattr(ginprod.montecarlo, "_available_bytes", lambda: need - 1)
         code, out, err = run_cli(capsys, *argv, "--seed", "1")
         assert (code, out) == (2, "")
         assert re.fullmatch(r"ginprod: error: sampling [0-9]+ replicates at n = [0-9]+ needs [0-9.]+ GiB of arrays, "
                             r"more than the 0\.0 GiB this process can have\n", err)
-        monkeypatch.setattr(ginprod.cli, "_available_bytes", lambda: need)
+        monkeypatch.setattr(ginprod.montecarlo, "_available_bytes", lambda: need)
         code, _, err = run_cli(capsys, *argv, "--seed", "1")
         assert (code, err) == (4, "ginprod: internal error: AssertionError: "
                                   "sampled before the run's memory was checked\n")
+
+    def test_readme_example_is_refused_at_its_figure(self, capsys, monkeypatch):
+        # One real m = 1 replicate at n = 100000 streams on one thread: its row,
+        # its product array and its SVD's copy, the 149.0 GiB README quotes.
+        monkeypatch.setattr(ginprod.montecarlo, "_available_bytes", lambda: 2**30)
+        code, out, err = run_cli(capsys, "simulate", "--m", "1", "--n", "100000", "--replicates", "1", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err == ("ginprod: error: sampling 1 replicates at n = 100000 needs 149.0 GiB of arrays, "
+                       "more than the 1.0 GiB this process can have\n")
 
     def test_replicate_csv_and_spectra(self, capsys, tmp_path):
         rep_csv = tmp_path / "reps.csv"

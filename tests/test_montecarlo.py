@@ -6,6 +6,7 @@ regressions, not flaky coin flips. Size-one products have exactly known
 moments: (k!)^m for complex entries and ((2k-1)!!)^m for real ones.
 """
 
+import functools
 import math
 import os
 import re
@@ -515,8 +516,10 @@ class TestScheduling:
                 key = id(spare if streamed else held_draws)
                 scratch[key] = scratch.get(key, 0) + 1
             assert len(scratch) <= run_workers and max(scratch.values()) <= 2
-            # The pre-flight counts the arrays the threads drew with, and no more.
-            budgeted = _run_bytes(spec, RunConfig(25, SEED, workers)) - 25 * 200 * 8
+            # Beside the result and each thread's SVD copy, the pre-flight counts
+            # the arrays the threads drew with, and no more.
+            svd_copies = run_threads * 200**2 * (8 if spec.field == "real" else 16)
+            budgeted = _run_bytes(spec, RunConfig(25, SEED, workers)) - 25 * 200 * 8 - svd_copies
             assert sum(arrays.values()) <= budgeted
             assert sum(arrays.values()) == budgeted or len(draws) < run_threads
 
@@ -563,6 +566,101 @@ class TestScheduling:
             for _, _, batch, buffers, products, *_ in draws:
                 assert products.base is buffers[1] and products.shape == (len(batch), 5, 5)
                 assert (buffers[0] is None) == streamed
+
+
+def _record_empties(monkeypatch):
+    """Patch ``np.empty`` to record the bytes of every array it makes; return the records."""
+    made, empty = [], np.empty
+
+    def record(*args, **kwargs):
+        array = empty(*args, **kwargs)
+        made.append(array.nbytes)
+        return array
+
+    monkeypatch.setattr(np, "empty", record)
+    return made
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("worked before the run's memory was checked")
+
+
+class TestMemoryPreflight:
+    @pytest.mark.parametrize("workers, cores", [(1, 1), (1, 2), (2, 2)])
+    @pytest.mark.parametrize("streamed", [False, True])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_run_bytes_are_what_a_run_allocates(self, monkeypatch, m, field, streamed, workers, cores):
+        # The arrays a run makes, its result and every worker's and thread's
+        # buffers, add up to _run_bytes less the n x n copy each thread's SVD
+        # makes inside numpy: the count follows the rule the run allocates by.
+        _cores(monkeypatch, cores)
+        spec = GinibreSpec(n=6, m=m, field=field)
+        if streamed:
+            monkeypatch.setattr(ginprod.montecarlo, "BATCH_DRAW_BYTES", _streaming_budget(spec))
+        config = RunConfig(23, SEED, workers)
+        _, _, streams, threads = _batches(spec, config)
+        assert streams == streamed and threads == min(cores, 2)
+        _pcg64_word_order()  # the once-a-process probe, whose state read makes a small array
+        made = _record_empties(monkeypatch)
+        collect_spectra(spec, config)
+        assert sum(made) == _run_bytes(spec, config) - threads * 36 * (8 if field == "real" else 16)
+
+    def test_library_run_past_memory_is_refused_before_any_work(self, monkeypatch):
+        # One byte short of _run_bytes, collect_spectra raises the command line's
+        # refusal before it allocates, seeds or starts a thread; at _run_bytes it samples.
+        _cores(monkeypatch, 2)
+        spec, config = GinibreSpec(n=6, m=2, field="complex"), RunConfig(23, SEED, 1)
+        need, want = _run_bytes(spec, config), _spectra(spec, 23)
+        with monkeypatch.context() as patch:
+            patch.setattr(ginprod.montecarlo, "_available_bytes", lambda: need - 1)
+            patch.setattr(ginprod.montecarlo, "_seed_prefix", _never)
+            patch.setattr(ginprod.montecarlo, "_draw_stage", _never)
+            made, started = _record_empties(patch), _record_starts(patch)
+            with pytest.raises(ValueError) as refused:
+                collect_spectra(spec, config)
+            assert (made, started) == ([], [])
+        assert str(refused.value) == ("sampling 23 replicates at n = 6 needs 0.0 GiB of arrays, "
+                                      "more than the 0.0 GiB this process can have")
+        monkeypatch.setattr(ginprod.montecarlo, "_available_bytes", lambda: need)
+        assert np.array_equal(collect_spectra(spec, config), want)
+
+    def test_memory_limit_is_read_on_the_first_run_only(self, monkeypatch):
+        # The cgroup files are read once a process, by its first sampling run.
+        read, opened = functools.cache(ginprod.montecarlo._available_bytes.__wrapped__), []
+
+        def recording_open(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(ginprod.montecarlo, "_available_bytes", read)
+        monkeypatch.setattr(ginprod.montecarlo, "open", recording_open, raising=False)
+        for _ in range(3):
+            _spectra(GinibreSpec(n=2, m=1), 2)
+        assert opened.count("/proc/self/cgroup") == 1 and read.cache_info().misses == 1
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB, as Linux reports it")
+    def test_run_bytes_bound_the_resident_peak(self):
+        # tracemalloc cannot see the n x n copy numpy's stacked SVD makes of each
+        # matrix for LAPACK, so a fresh interpreter's peak resident set is read. One
+        # real m = 1 replicate at n = 1000 streams: its row, its product array and
+        # the SVD's copy, 15.3 MiB. After a warm-up run loads what a first run
+        # loads, the peak rises by no more than that and 2 MiB of LAPACK's
+        # workspace and BLAS's packing buffers (1.0 MiB was seen on x86-64).
+        code = ("import resource\n"
+                "from ginprod.montecarlo import GinibreSpec, RunConfig, _run_bytes, collect_spectra\n"
+                "config = RunConfig(1, 7, 1)\n"
+                "collect_spectra(GinibreSpec(n=2, m=1), config)\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                "collect_spectra(GinibreSpec(n=1000, m=1), config)\n"
+                "rise = 1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+                "print(rise, _run_bytes(GinibreSpec(n=1000, m=1), config))\n")
+        src = os.path.dirname(os.path.dirname(ginprod.montecarlo.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        rise, need = map(int, out.stdout.split())
+        assert need == 1000 * 8 + 2 * 1000**2 * 8
+        assert rise <= need + 2 * 2**20
 
 
 def _written_state(words):
@@ -840,8 +938,9 @@ class TestBlasPinning:
         assert np.array_equal(_spectra(spec, 5), pinned)
 
     def test_lookup_does_not_run_at_import(self):
+        # Nor does the memory limit's read.
         code = ("import ginprod, ginprod.cli, ginprod.montecarlo as mc; "
-                "print(mc._blas_threads.cache_info().currsize)")
+                "print(mc._blas_threads.cache_info().currsize + mc._available_bytes.cache_info().currsize)")
         src = os.path.dirname(os.path.dirname(ginprod.montecarlo.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
@@ -1050,6 +1149,32 @@ class TestConvergenceTable:
         assert need == sorted(need, reverse=True)
         assert [row.n for row in rows] == [16, 104, 105, 181]
         assert rows == [convergence_table(2, [n], config)[0] for n in [16, 104, 105, 181]]
+
+    def test_grid_past_memory_is_refused_before_any_point_is_drawn(self, monkeypatch):
+        # On the grid above the largest need is at n = 104, not at the largest n.
+        # One byte short of it the run is refused, naming n = 104, before any
+        # point is drawn; at that need the run passes every point's check.
+        monkeypatch.setattr(ginprod.montecarlo, "_usable_cores", lambda: 1)
+        config = RunConfig(replicates=6, master_seed=SEED, workers=1)
+        grid = [16, 104, 105, 181]
+        need = max(_run_bytes(GinibreSpec(n=n, m=2), config) for n in grid)
+        assert need == _run_bytes(GinibreSpec(n=104, m=2), config)
+        sampled, draw = [], ginprod.montecarlo._draw_stage
+
+        def recording(spec, *args):
+            sampled.append(spec.n)
+            return draw(spec, *args)
+
+        monkeypatch.setattr(ginprod.montecarlo, "_draw_stage", recording)
+        monkeypatch.setattr(ginprod.montecarlo, "_available_bytes", lambda: need - 1)
+        with pytest.raises(ValueError) as refused:
+            convergence_table(2, grid, config)
+        assert sampled == []
+        assert str(refused.value) == ("sampling 6 replicates at n = 104 needs 0.0 GiB of arrays, "
+                                      "more than the 0.0 GiB this process can have")
+        monkeypatch.setattr(ginprod.montecarlo, "_available_bytes", lambda: need)
+        assert convergence_table(2, grid, config) == [convergence_table(2, [n], config)[0] for n in grid]
+        assert sorted(set(sampled)) == grid
 
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ValueError):
